@@ -1,10 +1,9 @@
 // Mixed-class serving experiment: a realistic standing-query population —
 // 70% grounded Regular selections, 20% Extended Regular sequences, 10%
 // Safe plans — multiplexed through the QuerySession layer
-// (engine/session.h) at 1..8 worker threads. Regular/Extended sessions
-// shard per-key chains; a Safe session shards its independent grounding
-// groups (project children) the same way, so no class serializes the tick
-// (docs/RUNTIME.md).
+// (engine/session.h) at 1..8 worker threads. The executor places whole
+// sessions of every class on workers side by side, so no class serializes
+// the tick (docs/RUNTIME.md).
 //
 // Per cell we preload the whole replay into the ingest queue, then time
 // Start..WaitForTick(horizon): pure tick throughput, no producer in the
@@ -151,8 +150,8 @@ int main() {
     std::printf(" %12.1f", row[i]);
   }
   const double efficiency = base > 0 ? at8 / base : 0.0;
-  std::printf("\nspeedup@4 %8.2fx  efficiency@8 %.2fx  (all classes shard, "
-              "including safe grounding groups; see docs/RUNTIME.md)\n",
+  std::printf("\nspeedup@4 %8.2fx  efficiency@8 %.2fx  (whole sessions "
+              "side by side, one worker each; see docs/RUNTIME.md)\n",
               base > 0 ? at4 / base : 0.0, efficiency);
   // Derived metric on its own record (keyed by bench+mix only), matching
   // t04's summary line: compare.py --min-metric gates read it, the

@@ -29,8 +29,6 @@
 //                                   skipped on replay
 //   --threads N                     runtime worker threads (default
 //                                   hardware concurrency)
-//   --pin                           pin worker i to core i mod cores
-//                                   (Linux only; ignored elsewhere)
 //
 // Connect-mode flags (anywhere after --connect):
 //   --tenant NAME                   tenant for the kHello handshake
@@ -233,7 +231,6 @@ struct ServeConfig {
   bool checkpoint_path_set = false;  // --checkpoint-path given explicitly
   std::string restore_path;          // empty = fresh start
   size_t num_threads = 0;            // 0 = hardware concurrency
-  bool pin_threads = false;          // pin worker i to core i mod cores
 };
 
 bool ReadFileBytes(const std::string& path, std::string* out) {
@@ -271,7 +268,6 @@ int Serve(EventDatabase* archive, const std::vector<std::string>& queries,
   RuntimeOptions options;
   options.queue_capacity = 16;
   options.num_threads = config.num_threads;
-  options.pin_threads = config.pin_threads;
   // Serve every query class: Safe queries compile to incremental plans
   // (distinct-keys assumption, as in batch mode) and Unsafe or
   // plan-less Safe queries fall back to approximate sampling sessions.
@@ -505,8 +501,6 @@ int main(int argc, char** argv) {
       } else if (const char* v = flag_value("--threads")) {
         if (!examples::ParseUint("--threads", v, 0, 4096, &n)) return 2;
         config.num_threads = static_cast<size_t>(n);
-      } else if (std::strcmp(argv[i], "--pin") == 0) {
-        config.pin_threads = true;
       } else if (!bad) {
         if (dbfile.empty()) {
           dbfile = argv[i];
@@ -522,7 +516,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s --serve [--checkpoint-every N] "
                    "[--checkpoint-path FILE] [--restore FILE] "
-                   "[--threads N] [--pin] DBFILE QUERY...\n",
+                   "[--threads N] DBFILE QUERY...\n",
                    argv[0]);
       return 2;
     }

@@ -13,7 +13,6 @@
 //                         is printed on startup)
 //   --host ADDR           bind address (default 127.0.0.1)
 //   --threads N           runtime worker threads (default hardware)
-//   --pin                 pin worker i to core i mod cores (Linux only)
 //   --queue-capacity N    ingest queue depth in batches (default 256)
 //   --max-connections N   connection cap (default 256)
 //   --outbound-limit B    per-connection outbound byte cap; a subscriber
@@ -71,7 +70,7 @@ bool WriteFileBytes(const std::string& path, const std::string& bytes) {
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--port N] [--host ADDR] [--threads N] [--pin] "
+               "usage: %s [--port N] [--host ADDR] [--threads N] "
                "[--queue-capacity N] [--max-connections N] "
                "[--outbound-limit BYTES] [--quota-burst N] "
                "[--quota-refill R] [--checkpoint-every N] "
@@ -112,8 +111,6 @@ int main(int argc, char** argv) {
     } else if (const char* v = flag_value("--threads")) {
       if (!examples::ParseUint("--threads", v, 0, 4096, &n)) return 2;
       runtime_options.num_threads = static_cast<size_t>(n);
-    } else if (std::strcmp(argv[i], "--pin") == 0) {
-      runtime_options.pin_threads = true;
     } else if (const char* v = flag_value("--queue-capacity")) {
       if (!examples::ParseUint("--queue-capacity", v, 1, UINT32_MAX, &n))
         return 2;

@@ -45,8 +45,8 @@ Result<ExtendedRegularEngine> ExtendedRegularEngine::Create(
                                         : StreamKeyIndex::Build(db));
     opts.stream_index = engine.stream_index_.get();
     LAHAR_ASSIGN_OR_RETURN(QueryNfa stub_nfa, QueryNfa::Build(q));
-    // Memoization off makes Transition() pure, so concurrent shard threads
-    // can evolve stubs through the one shared automaton.
+    // Memoization off keeps Transition() a pure function of its arguments:
+    // stubs evolve through the one shared automaton without a cache.
     stub_nfa.set_memoization(false);
     engine.stub_nfa_ = std::make_unique<QueryNfa>(std::move(stub_nfa));
     engine.part_begin_.push_back(0);
@@ -248,7 +248,7 @@ void ExtendedRegularEngine::PromoteChain(size_t i) {
   chains_[i] = std::make_unique<RegularChain>(std::move(built).value());
   residency_[i] = kResident;
   idle_ticks_[i] = 0;
-  counters_->promotions.fetch_add(1, std::memory_order_relaxed);
+  ++promotions_;
 }
 
 void ExtendedRegularEngine::RehydrateChain(size_t i) {
@@ -269,7 +269,7 @@ void ExtendedRegularEngine::RehydrateChain(size_t i) {
   spilled_[i].reset();
   residency_[i] = kResident;
   idle_ticks_[i] = 0;
-  counters_->rehydrations.fetch_add(1, std::memory_order_relaxed);
+  ++rehydrations_;
 }
 
 void ExtendedRegularEngine::TrySpill(size_t i) {
@@ -319,7 +319,7 @@ void ExtendedRegularEngine::TrySpill(size_t i) {
     stub_mask_[i] = sp->entries[0].mask;
     chains_[i].reset();
     residency_[i] = kStub;
-    counters_->spills.fetch_add(1, std::memory_order_relaxed);
+    ++spills_;
     return;
   }
   // Freezing is only sound when quiet ticks are bitwise no-ops: every mask
@@ -331,7 +331,7 @@ void ExtendedRegularEngine::TrySpill(size_t i) {
   chains_[i].reset();
   spilled_[i] = std::move(sp);
   residency_[i] = kSpilled;
-  counters_->spills.fetch_add(1, std::memory_order_relaxed);
+  ++spills_;
 }
 
 void ExtendedRegularEngine::SaveChainState(size_t i, serial::Writer* w) const {
@@ -493,19 +493,13 @@ Status ExtendedRegularEngine::RestoreChainState(size_t i, serial::Reader* r,
 
 void ExtendedRegularEngine::LatchLifecycleError(const Status& s) {
   if (s.ok()) return;
-  std::lock_guard<std::mutex> lock(counters_->mu);
-  if (counters_->first_error.ok()) counters_->first_error = s;
+  if (lifecycle_error_.ok()) lifecycle_error_ = s;
 }
 
 double ExtendedRegularEngine::Step() {
-  StepChainRange(0, chains_.size());
-  return CommitParallelStep();
-}
-
-void ExtendedRegularEngine::StepChainRange(size_t begin, size_t end) {
-  end = std::min(end, chains_.size());
+  const size_t end = chains_.size();
   const Timestamp next = t_ + 1;
-  size_t i = begin;
+  size_t i = 0;
   while (i < end) {
     if (lifecycle_ && residency_[i] != kResident) {
       if (QuietAt(i, next)) {
@@ -534,11 +528,9 @@ void ExtendedRegularEngine::StepChainRange(size_t begin, size_t end) {
         continue;
       }
     }
-    // Whole-stripe step when the stripe lies entirely in this range and no
-    // lane is delegated; otherwise (or when StepStripe declines this tick)
-    // every chain steps alone, bit-identically, on the strided path. A
-    // range boundary through a stripe also lands here — lanes addressed
-    // with disjoint interleaved strides are safe to step from two threads.
+    // Whole-stripe step when no lane is delegated; otherwise (or when
+    // StepStripe declines this tick) every chain steps alone,
+    // bit-identically, on the strided path.
     const uint32_t w = i < stripe_width_.size() ? stripe_width_[i] : 1;
     if (w > 1 && i + w <= end) {
       bool delegated = false;
@@ -550,15 +542,15 @@ void ExtendedRegularEngine::StepChainRange(size_t begin, size_t end) {
           for (size_t j = 0; j < w; ++j) {
             chain_probs_[i + j] = chains_[i + j]->AcceptProb();
           }
-          counters_->stripe_steps.fetch_add(1, std::memory_order_relaxed);
+          ++stripe_steps_;
           i += w;
           continue;
         }
-        counters_->stripe_fallbacks.fetch_add(1, std::memory_order_relaxed);
+        ++stripe_fallbacks_;
       }
     }
     if (IsDelegated(i)) {
-      // The shared unit was advanced past t_+1 before this fan-out (the
+      // The shared unit was advanced past t_+1 before this step (the
       // runtime's shared phase); read its recorded frontier probability.
       chain_probs_[i] = delegates_[i]->ProbAt(next);
     } else {
@@ -580,6 +572,22 @@ void ExtendedRegularEngine::StepChainRange(size_t begin, size_t end) {
     }
     ++i;
   }
+  ++t_;
+  // Refresh the stream index if the database gained streams since it was
+  // built, so later promotions see current candidates (participation
+  // checks in BuildChain still pin the creation-time set).
+  if (lifecycle_ && stream_index_ != nullptr &&
+      stream_index_->num_streams() != db_->num_streams()) {
+    stream_index_ =
+        std::make_unique<StreamKeyIndex>(StreamKeyIndex::Build(*db_));
+  }
+  // A single grounding needs no union, and 1 - (1 - p) is not an IEEE
+  // no-op: returning p directly keeps Regular-class answers bit-identical
+  // to RegularEngine's.
+  if (chain_probs_.size() == 1) return chain_probs_[0];
+  double none = 1.0;
+  for (double p : chain_probs_) none *= 1.0 - p;
+  return 1.0 - none;
 }
 
 bool ExtendedRegularEngine::DelegateChain(
@@ -661,10 +669,7 @@ size_t ExtendedRegularEngine::num_spilled() const {
 }
 
 Status ExtendedRegularEngine::ChainStatus() const {
-  if (lifecycle_) {
-    std::lock_guard<std::mutex> lock(counters_->mu);
-    if (!counters_->first_error.ok()) return counters_->first_error;
-  }
+  if (!lifecycle_error_.ok()) return lifecycle_error_;
   for (size_t i = 0; i < chains_.size(); ++i) {
     if (IsDelegated(i)) {
       LAHAR_RETURN_NOT_OK(delegates_[i]->status());
@@ -673,25 +678,6 @@ Status ExtendedRegularEngine::ChainStatus() const {
     }
   }
   return Status::OK();
-}
-
-double ExtendedRegularEngine::CommitParallelStep() {
-  ++t_;
-  // Single-threaded point: refresh the stream index if the database gained
-  // streams since it was built, so later promotions see current candidates
-  // (participation checks in BuildChain still pin the creation-time set).
-  if (lifecycle_ && stream_index_ != nullptr &&
-      stream_index_->num_streams() != db_->num_streams()) {
-    stream_index_ =
-        std::make_unique<StreamKeyIndex>(StreamKeyIndex::Build(*db_));
-  }
-  // A single grounding needs no union, and 1 - (1 - p) is not an IEEE
-  // no-op: returning p directly keeps Regular-class answers bit-identical
-  // to RegularEngine's.
-  if (chain_probs_.size() == 1) return chain_probs_[0];
-  double none = 1.0;
-  for (double p : chain_probs_) none *= 1.0 - p;
-  return 1.0 - none;
 }
 
 std::vector<double> ExtendedRegularEngine::Run() {

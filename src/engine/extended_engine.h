@@ -26,9 +26,7 @@
 #ifndef LAHAR_ENGINE_EXTENDED_ENGINE_H_
 #define LAHAR_ENGINE_EXTENDED_ENGINE_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "engine/regular_engine.h"
@@ -56,17 +54,6 @@ class ExtendedRegularEngine {
 
   /// Advances every chain one timestep; returns P[q@t] at the new time.
   double Step();
-
-  /// Split form of Step() for sharded execution (src/runtime/): advances
-  /// only the chains in [begin, end) to time()+1. Chains are independent,
-  /// so disjoint ranges may run on different threads concurrently; the
-  /// database must not be mutated while any range is in flight.
-  void StepChainRange(size_t begin, size_t end);
-
-  /// Completes a split step once every chain range has been stepped:
-  /// advances the clock and combines the per-chain probabilities in chain
-  /// order, bit-identically to Step().
-  double CommitParallelStep();
 
   /// P[q@t] for t = 1..horizon (index 0 unused).
   std::vector<double> Run();
@@ -108,25 +95,13 @@ class ExtendedRegularEngine {
   }
   size_t num_delegated() const { return num_delegated_; }
 
-  /// Relative per-step cost of chain i (runtime shard balancing);
+  /// Relative per-step cost of chain i (runtime session placement);
   /// delegated chains cost one frontier read, stubs and spilled chains one
   /// quiet check.
   size_t ChainCost(size_t i) const {
     if (IsDelegated(i)) return 1;
     if (lifecycle_ && residency_[i] != kResident) return 1;
     return chains_[i]->StepCost();
-  }
-
-  /// One past the last chain of the indivisible shard-unit group holding
-  /// chain i: the whole lane-interleaved stripe for stripe lanes, i + 1
-  /// otherwise. The executor aligns shard-range splits on these boundaries
-  /// so a split never shears a stripe into per-chain fallbacks.
-  size_t ChainGroupEnd(size_t i) const {
-    if (i >= stripe_width_.size()) return i + 1;
-    size_t j = i;
-    while (j > 0 && stripe_width_[j] == 0) --j;  // member lane -> leader
-    const uint32_t w = stripe_width_[j];
-    return w > 1 ? j + w : i + 1;
   }
   /// First error latched by any chain (e.g. a failed symbol-table refresh
   /// after mid-stream domain growth); OK in normal operation.
@@ -154,12 +129,8 @@ class ExtendedRegularEngine {
   }
   /// Whole-stripe steps taken / stripes that fell back to per-chain steps
   /// this run (a fallback still computes bit-identical results).
-  uint64_t stripe_steps() const {
-    return counters_->stripe_steps.load(std::memory_order_relaxed);
-  }
-  uint64_t stripe_fallbacks() const {
-    return counters_->stripe_fallbacks.load(std::memory_order_relaxed);
-  }
+  uint64_t stripe_steps() const { return stripe_steps_; }
+  uint64_t stripe_fallbacks() const { return stripe_fallbacks_; }
   /// Doubles in the shared SoA state arena (0 when unused).
   size_t arena_size() const { return arena_.size(); }
 
@@ -173,16 +144,10 @@ class ExtendedRegularEngine {
   size_t num_stub() const;
   /// Registered bindings currently spilled to the side arena.
   size_t num_spilled() const;
-  /// Lifetime lifecycle transitions (relaxed counters).
-  uint64_t promotions() const {
-    return counters_->promotions.load(std::memory_order_relaxed);
-  }
-  uint64_t spills() const {
-    return counters_->spills.load(std::memory_order_relaxed);
-  }
-  uint64_t rehydrations() const {
-    return counters_->rehydrations.load(std::memory_order_relaxed);
-  }
+  /// Lifetime lifecycle transitions.
+  uint64_t promotions() const { return promotions_; }
+  uint64_t spills() const { return spills_; }
+  uint64_t rehydrations() const { return rehydrations_; }
 
   /// Steady-state memory accounting for the bytes-per-chain model
   /// (docs/PERF.md): the SoA arena, per-chain owned heap (state buffers,
@@ -258,7 +223,7 @@ class ExtendedRegularEngine {
   bool QuietAt(size_t i, Timestamp next) const;
   // Appends the next binding's lifecycle tables from its symbol table.
   void AppendLifecycleParts(const SymbolTable& table);
-  // Materializes binding i from its stub (thread-safe for disjoint i).
+  // Materializes binding i from its stub.
   void PromoteChain(size_t i);
   // Rebuilds binding i's chain from its spilled entries.
   void RehydrateChain(size_t i);
@@ -296,20 +261,13 @@ class ExtendedRegularEngine {
   // stripe leader, 0 at its member lanes (the leader steps them), and 1
   // for chains stepped alone. Empty when no arena was packed.
   std::vector<uint32_t> stripe_width_;
-  // Heap-held so the engine stays movable; StepChainRange runs concurrently
-  // across shard threads, hence atomics (relaxed: they are pure counters).
-  struct StripeCounters {
-    std::atomic<uint64_t> stripe_steps{0};
-    std::atomic<uint64_t> stripe_fallbacks{0};
-    std::atomic<uint64_t> promotions{0};
-    std::atomic<uint64_t> spills{0};
-    std::atomic<uint64_t> rehydrations{0};
-    // First error from a concurrent promote/rehydrate (ChainStatus()).
-    std::mutex mu;
-    Status first_error;
-  };
-  std::unique_ptr<StripeCounters> counters_ =
-      std::make_unique<StripeCounters>();
+  uint64_t stripe_steps_ = 0;
+  uint64_t stripe_fallbacks_ = 0;
+  uint64_t promotions_ = 0;
+  uint64_t spills_ = 0;
+  uint64_t rehydrations_ = 0;
+  // First error from a promote/rehydrate (ChainStatus()).
+  Status lifecycle_error_;
 
   // --- lifecycle state (empty unless lifecycle_) --------------------------
   bool lifecycle_ = false;
@@ -326,8 +284,8 @@ class ExtendedRegularEngine {
   std::shared_ptr<TransitionRowPool> owned_rows_;
   std::unique_ptr<StreamKeyIndex> stream_index_;
   // Memoization-free automaton copy for stub evolution: Transition() is
-  // then pure/const and safe from concurrent shard threads. One copy
-  // serves every binding (groundings share the NFA structure).
+  // then pure/const. One copy serves every binding (groundings share the
+  // NFA structure).
   std::unique_ptr<QueryNfa> stub_nfa_;
   std::vector<uint8_t> residency_;
   std::vector<StateMask> stub_mask_;

@@ -68,9 +68,6 @@ struct ChainOptions {
   /// Null makes every SIMD chain build rows locally; classes are held by
   /// shared_ptr, so the pool may die before the chains.
   TransitionRowPool* row_pool = nullptr;
-  /// Store pooled rows as float32 (half the bytes, NOT bit-identical; see
-  /// rows.h for the error bound). Only affects SIMD-mode chains.
-  bool float32_rows = false;
 
   /// Optional (type, key) -> streams index for grounded-query builds; makes
   /// SymbolTable::Build O(subgoals) instead of O(streams). The extended
@@ -177,9 +174,6 @@ class RegularChain {
   /// in the kernel's class-sorted slot layout).
   bool simd() const { return simd_; }
 
-  /// True when this chain reads float32-tier transition rows.
-  bool float32_rows() const { return f32_rows_; }
-
   /// The interned row class this chain shares (null when rows are local).
   const std::shared_ptr<TransitionRowClass>& row_class() const {
     return row_class_;
@@ -210,8 +204,8 @@ class RegularChain {
   /// 0 on the map path. A chain owns two such buffers (double-buffering).
   size_t FlatStride() const;
 
-  /// Relative per-step cost estimate, used by the runtime executor to
-  /// balance chain ranges across shards.
+  /// Relative per-step cost estimate; summed into the session's StepCost,
+  /// by which the runtime executor places sessions on workers.
   size_t StepCost() const;
 
   /// Moves the chain's kernel state into caller-owned storage (the extended
@@ -329,7 +323,6 @@ class RegularChain {
 
   // --- vectorized step path (simd_ implies kernel_) ------------------------
   bool simd_ = false;       // state lives in slot layout; step via dense rows
-  bool f32_rows_ = false;   // rows on the float32 tier
   size_t lane_stride_ = 1;  // arena lane interleave (1 = contiguous)
   std::shared_ptr<TransitionRowClass> row_class_;  // null = always local rows
   std::shared_ptr<const TransitionRowSet> step_rows_;  // cache for step t

@@ -27,28 +27,12 @@ class SafePlanEngine::NodeEval {
   /// to building them at the larger horizon in the first place.
   virtual Status ExtendTo(Timestamp t) = 0;
 
-  /// Relative per-tick cost estimate (runtime shard balancing).
+  /// Relative per-tick cost estimate.
   virtual size_t StepCost() const = 0;
 
-  /// Number of independently advanceable shard units under this node.
-  virtual size_t NumShardUnits() const { return 1; }
-
-  /// Advances shard unit `unit` to tick `t`. `warm` asks the unit to also
-  /// pre-compute its diagonal probability P[t, t] into its (bounded) memo,
-  /// so the single-threaded combine at FinishAdvance is a pure memo hit.
-  /// Units are disjoint subtrees (the safety precondition keeps their
-  /// streams disjoint), so distinct units may advance concurrently.
-  virtual Status AdvanceUnit(size_t unit, Timestamp t, bool warm) {
-    (void)unit;
-    Status s = ExtendTo(t);
-    if (s.ok() && warm) s = Prob(t, t).status();
-    return s;
-  }
-
-  /// Per-unit cost estimate (runtime shard balancing).
-  virtual size_t UnitCostOf(size_t unit) const {
-    (void)unit;
-    return StepCost();
+  /// Grounding groups under this node and their summed per-tick cost.
+  virtual Groundings GroundingGroups() const {
+    return {1, StepCost()};
   }
 
   /// Accumulates memo/row-cache counters over this subtree.
@@ -350,18 +334,12 @@ class SafePlanEngine::SeqEval : public SafePlanEngine::NodeEval {
     return child_->StepCost() + groundings + last_live_window_ + 1;
   }
 
-  size_t NumShardUnits() const override { return child_->NumShardUnits(); }
-
-  // Shard work forwards to the child's grounding groups. warm is forced off:
-  // this node queries the child at (lo, tfp - 1) intervals, so warming the
-  // child's (t, t) diagonal would only churn its row caches.
-  Status AdvanceUnit(size_t unit, Timestamp t, bool warm) override {
-    (void)warm;
-    return child_->AdvanceUnit(unit, t, false);
-  }
-
-  size_t UnitCostOf(size_t unit) const override {
-    return child_->UnitCostOf(unit) + 1;
+  // The child's groups, each charged one extra unit for this node's
+  // combine.
+  Groundings GroundingGroups() const override {
+    Groundings g = child_->GroundingGroups();
+    g.cost += g.count;
+    return g;
   }
 
   void AddMemoStats(SafeMemoStats* out) const override {
@@ -617,10 +595,7 @@ class SafePlanEngine::SeqEval : public SafePlanEngine::NodeEval {
 };
 
 // The independent-project operator: groundings of x use disjoint tuples, so
-// P = 1 - prod over groundings (1 - P_grounding). The groundings are the
-// natural shard units: their streams are disjoint by construction, so
-// distinct children advance concurrently and the combine at FinishAdvance
-// reads their warmed (t, t) memo entries.
+// P = 1 - prod over groundings (1 - P_grounding).
 class SafePlanEngine::ProjectEval : public SafePlanEngine::NodeEval {
  public:
   explicit ProjectEval(std::vector<std::unique_ptr<NodeEval>> children)
@@ -650,24 +625,12 @@ class SafePlanEngine::ProjectEval : public SafePlanEngine::NodeEval {
     return total;
   }
 
-  size_t NumShardUnits() const override {
-    return children_.empty() ? 1 : children_.size();
-  }
-
-  Status AdvanceUnit(size_t unit, Timestamp t, bool warm) override {
-    if (children_.empty()) return Status::OK();
-    if (unit >= children_.size()) {
-      return Status::Internal("project shard unit out of range");
-    }
-    NodeEval& child = *children_[unit];
-    LAHAR_RETURN_NOT_OK(child.ExtendTo(t));
-    if (warm) return child.Prob(t, t).status();
-    return Status::OK();
-  }
-
-  size_t UnitCostOf(size_t unit) const override {
-    if (unit >= children_.size()) return 1;
-    return children_[unit]->StepCost();
+  // One group per grounding; with no groundings, one empty group.
+  Groundings GroundingGroups() const override {
+    if (children_.empty()) return {1, 1};
+    Groundings g{children_.size(), 0};
+    for (const auto& c : children_) g.cost += c->StepCost();
+    return g;
   }
 
   void AddMemoStats(SafeMemoStats* out) const override {
@@ -778,6 +741,7 @@ Result<SafePlanEngine> SafePlanEngine::Create(const NormalizedQuery& q,
   auto holder = std::shared_ptr<NodeEval>(std::move(root));
   engine.root_ = holder.get();
   engine.root_holder_ = holder;
+  engine.num_groundings_ = engine.root_->GroundingGroups().count;
   return engine;
 }
 
@@ -809,42 +773,8 @@ Result<double> SafePlanEngine::AdvanceTo(Timestamp t) {
   return root_->Prob(t, t);
 }
 
-size_t SafePlanEngine::NumShardUnits() const {
-  return root_->NumShardUnits();
-}
-
-void SafePlanEngine::PrepareShard(Timestamp t) {
-  (void)t;
-  shard_status_.assign(NumShardUnits(), Status::OK());
-}
-
-void SafePlanEngine::ShardAdvance(size_t begin, size_t end, Timestamp t) {
-  const size_t n = shard_status_.size();
-  for (size_t i = begin; i < end && i < n; ++i) {
-    shard_status_[i] = root_->AdvanceUnit(i, t, /*warm=*/true);
-  }
-}
-
-Result<double> SafePlanEngine::FinishAdvance(Timestamp t) {
-  for (Status& s : shard_status_) {
-    if (!s.ok()) {
-      Status failed = std::move(s);
-      shard_status_.clear();
-      return failed;
-    }
-  }
-  shard_status_.clear();
-  // Extends whatever the shards did not cover (e.g. a root seq node's
-  // witness table) and combines: the warmed child values are memo hits, so
-  // the result is bit-identical to a single-threaded AdvanceTo(t).
-  LAHAR_RETURN_NOT_OK(root_->ExtendTo(t));
-  return root_->Prob(t, t);
-}
-
-size_t SafePlanEngine::StepCost() const { return root_->StepCost(); }
-
-size_t SafePlanEngine::UnitCost(size_t unit) const {
-  return root_->UnitCostOf(unit);
+size_t SafePlanEngine::StepCost() const {
+  return root_->GroundingGroups().cost;
 }
 
 SafeMemoStats SafePlanEngine::MemoStats() const {

@@ -25,8 +25,6 @@
 //    reg leaves keep a bounded LRU row arena over sparse chain keyframes
 //    instead of one chain snapshot per timestep — evictions recompute
 //    deterministically, so capacity never changes an answer;
-//  * independent grounding groups (project children) advance as separate
-//    shard units, so a safe session no longer serializes a runtime tick.
 //
 // Preconditions (checked at Create): the streams matched by a seq operator's
 // right-hand subgoal must be independent (non-Markovian) — the paper's
@@ -89,36 +87,15 @@ class SafePlanEngine {
   /// same either way).
   Result<double> AdvanceTo(Timestamp t);
 
-  // --- sharded serving protocol (SafeQuerySession) -----------------------
-  // Independent grounding groups — the children of a projection node, which
-  // touch disjoint streams by the safety precondition — are exposed as
-  // shard units. Per tick: PrepareShard once, ShardAdvance over disjoint
-  // unit ranges (any threads, database quiescent), then FinishAdvance
-  // single-threaded; the combined answer is bit-identical to AdvanceTo(t).
+  /// Independent grounding groups: the children of the plan's projection
+  /// node, which touch disjoint streams by the safety precondition (1 for
+  /// a plan without one). SafeQuerySession reports them as its units.
+  size_t num_groundings() const { return num_groundings_; }
 
-  /// Number of independently advanceable units (>= 1).
-  size_t NumShardUnits() const;
-
-  /// Single-threaded per-tick preparation: resets the per-unit status
-  /// slots for tick `t`.
-  void PrepareShard(Timestamp t);
-
-  /// Advances units [begin, end) to tick `t`: extends their tables and
-  /// pre-computes their grounding probabilities into the (bounded) memos.
-  /// Errors latch per unit and surface at FinishAdvance.
-  void ShardAdvance(size_t begin, size_t end, Timestamp t);
-
-  /// Completes the tick: surfaces any latched shard error, extends whatever
-  /// the shards did not cover, and returns mu(q@t).
-  Result<double> FinishAdvance(Timestamp t);
-
-  /// Relative per-tick cost estimate (runtime shard balancing): reflects
-  /// live rows, witness density, and grounding fan-out, not just leaf
-  /// count.
+  /// Relative per-tick cost estimate, by which the runtime places the
+  /// session on a worker: the grounding groups' summed cost (live rows,
+  /// witness density and grounding fan-out, not just leaf count).
   size_t StepCost() const;
-
-  /// Per-unit cost estimate (a unit is one grounding subtree).
-  size_t UnitCost(size_t unit) const;
 
   /// Aggregated memo/row cache counters over the whole evaluator tree.
   SafeMemoStats MemoStats() const;
@@ -141,14 +118,18 @@ class SafePlanEngine {
   class ProjectEval;
 
  private:
+  // Grounding-group count and summed cost of a subplan (NodeEval).
+  struct Groundings {
+    size_t count = 1;
+    size_t cost = 0;
+  };
+
   const EventDatabase* db_ = nullptr;
   PlanOptions options_;
   SafePlanPtr plan_;
   std::shared_ptr<void> root_holder_;  // owns the eval tree
   NodeEval* root_ = nullptr;
-  // Per-unit shard status, sized by PrepareShard; slot i is written only by
-  // the shard that owns unit i, then read single-threaded at FinishAdvance.
-  std::vector<Status> shard_status_;
+  size_t num_groundings_ = 1;
 };
 
 }  // namespace lahar

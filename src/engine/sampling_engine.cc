@@ -25,8 +25,6 @@ Result<SamplingEngine> SamplingEngine::Create(QueryPtr q,
                             ? options.num_samples
                             : HoeffdingSamples(options.epsilon, options.delta);
   engine.seed_ = options.seed;
-  engine.accepted_.assign(engine.num_samples_, 0);
-  engine.sample_status_.assign(engine.num_samples_, Status::OK());
 
   // Try the incremental NFA path: every grounding must be regular.
   auto nq = Normalize(*q);
@@ -92,7 +90,7 @@ Result<SamplingEngine> SamplingEngine::Create(QueryPtr q,
   return engine;
 }
 
-void SamplingEngine::StepNfaSample(size_t i, Timestamp next,
+bool SamplingEngine::StepNfaSample(size_t i, Timestamp next,
                                    std::vector<double>* row) {
   const size_t num_slots = slot_streams_.size();
   Rng& rng = sample_rngs_[i];
@@ -132,10 +130,10 @@ void SamplingEngine::StepNfaSample(size_t i, Timestamp next,
     chain.states[i] = chain.nfa->Transition(chain.states[i], input);
     any = any || chain.nfa->Accepts(chain.states[i]);
   }
-  accepted_[i] = any ? 1 : 0;
+  return any;
 }
 
-Status SamplingEngine::StepWorldSample(size_t i, Timestamp next) {
+Result<bool> SamplingEngine::StepWorldSample(size_t i, Timestamp next) {
   // Extend the sample's world prefix through `next` — and no further, even
   // when streams already hold later timesteps (the windowed executor
   // applies batches ahead of execution). Capping at `next` fixes the RNG
@@ -177,12 +175,10 @@ Status SamplingEngine::StepWorldSample(size_t i, Timestamp next) {
   }
   LAHAR_ASSIGN_OR_RETURN(std::vector<bool> sat,
                          SatisfiedAt(*query_, *db_, w));
-  accepted_[i] =
-      next < static_cast<Timestamp>(sat.size()) && sat[next] ? 1 : 0;
-  return Status::OK();
+  return next < static_cast<Timestamp>(sat.size()) && sat[next];
 }
 
-Status SamplingEngine::PrepareStep() {
+Status SamplingEngine::RefreshSymbols() {
   for (GroundedChain& chain : chains_) {
     if (chain.symbols->CoversDomains(*db_)) continue;
     LAHAR_ASSIGN_OR_RETURN(SymbolTable grown,
@@ -192,33 +188,31 @@ Status SamplingEngine::PrepareStep() {
   return Status::OK();
 }
 
-void SamplingEngine::StepSampleRange(size_t begin, size_t end) {
-  end = std::min(end, num_samples_);
-  Timestamp next = t_ + 1;
+Result<double> SamplingEngine::Step() {
+  // A failed refresh leaves the old tables in place (MaskFor bounds-checks
+  // unknown values), and every sample still steps: the RNG draw order, and
+  // so every later estimate, does not depend on which ticks failed.
+  Status status = RefreshSymbols();
+  const Timestamp next = t_ + 1;
+  size_t accepted = 0;
   if (incremental()) {
     std::vector<double> row;
-    for (size_t i = begin; i < end; ++i) StepNfaSample(i, next, &row);
+    for (size_t i = 0; i < num_samples_; ++i) {
+      accepted += StepNfaSample(i, next, &row) ? 1 : 0;
+    }
   } else {
-    for (size_t i = begin; i < end; ++i) {
-      sample_status_[i] = StepWorldSample(i, next);
+    for (size_t i = 0; i < num_samples_; ++i) {
+      Result<bool> hit = StepWorldSample(i, next);
+      if (!hit.ok()) {
+        if (status.ok()) status = hit.status();
+      } else if (*hit) {
+        ++accepted;
+      }
     }
   }
-}
-
-Result<double> SamplingEngine::CommitStep() {
-  t_ = t_ + 1;
-  size_t accepted = 0;
-  for (size_t i = 0; i < accepted_.size(); ++i) {
-    if (!sample_status_.empty()) LAHAR_RETURN_NOT_OK(sample_status_[i]);
-    accepted += accepted_[i];
-  }
+  t_ = next;
+  LAHAR_RETURN_NOT_OK(status);
   return static_cast<double>(accepted) / static_cast<double>(num_samples_);
-}
-
-Result<double> SamplingEngine::Step() {
-  LAHAR_RETURN_NOT_OK(PrepareStep());
-  StepSampleRange(0, num_samples_);
-  return CommitStep();
 }
 
 Result<std::vector<double>> SamplingEngine::Run() {

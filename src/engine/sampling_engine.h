@@ -49,27 +49,11 @@ class SamplingEngine {
   /// Regular groundings use the incremental NFA path; everything else
   /// extends per-sample world prefixes and re-evaluates the reference
   /// semantics on each — O(t * |W|) per tick, but it hosts even unsafe
-  /// queries as standing queries. Equivalent to StepSampleRange(0, n)
-  /// followed by CommitStep().
+  /// queries as standing queries. The tick is consumed even when it fails
+  /// (a symbol-table refresh after domain growth, or a sample's
+  /// evaluation), so time() stays in step with the caller's clock; the
+  /// refresh error wins over a sample error, which wins over the estimate.
   Result<double> Step();
-
-  /// Single-threaded preparation before a (possibly sharded) step: extends
-  /// the NFA path's shared symbol tables over domain values interned since
-  /// the last tick. Must not run concurrently with StepSampleRange; Step()
-  /// calls it itself. No-op on the general path.
-  Status PrepareStep();
-
-  /// Split form of Step() for the sharded runtime executor: advances only
-  /// the samples in [begin, end) to time()+1. Samples are independent, so
-  /// disjoint ranges may run on different threads; the database must be
-  /// quiescent meanwhile. Errors are recorded per sample and surface at
-  /// CommitStep.
-  void StepSampleRange(size_t begin, size_t end);
-
-  /// Completes a split step once every sample range has been advanced:
-  /// bumps time() and returns the acceptance fraction (an integer count
-  /// over samples, so the estimate is independent of sharding).
-  Result<double> CommitStep();
 
   bool incremental() const { return !chains_.empty(); }
   size_t num_samples() const { return num_samples_; }
@@ -77,9 +61,13 @@ class SamplingEngine {
   Timestamp horizon() const { return horizon_; }
 
  private:
-  // One tick of one sample; `next` is t_ + 1.
-  void StepNfaSample(size_t i, Timestamp next, std::vector<double>* row);
-  Status StepWorldSample(size_t i, Timestamp next);
+  // Extends the NFA path's shared symbol tables over domain values
+  // interned since the last tick. No-op on the general path.
+  Status RefreshSymbols();
+  // One tick of one sample; `next` is t_ + 1. Returns whether the sample
+  // satisfies q at `next`.
+  bool StepNfaSample(size_t i, Timestamp next, std::vector<double>* row);
+  Result<bool> StepWorldSample(size_t i, Timestamp next);
   // One grounded regular query: its automaton, symbol table, and the
   // per-sample NFA state masks.
   struct GroundedChain {
@@ -103,11 +91,6 @@ class SamplingEngine {
   std::vector<std::vector<size_t>> chain_slots_;
   std::vector<DomainIndex> values_;  // [sample * num_slots + slot]
   std::vector<Rng> sample_rngs_;     // one generator per sample
-  // Per-sample outcome of the tick in flight (written by StepSampleRange,
-  // folded by CommitStep). uint8_t, not vector<bool>: samples on different
-  // shards must not share bytes.
-  std::vector<uint8_t> accepted_;
-  std::vector<Status> sample_status_;
   // General path only: per-sample sampled world prefixes, extended lazily
   // as streams grow (empty until the first Step).
   std::vector<World> worlds_;

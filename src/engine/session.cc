@@ -30,18 +30,6 @@ void SharedSubChain::ResyncFrontier() {
   ring_[chain_.time() % ring_.size()] = chain_.AcceptProb();
 }
 
-Result<double> QuerySession::Advance() {
-  PrepareAdvance();
-  AdvanceShard(0, num_units());
-  return CommitAdvance();
-}
-
-size_t QuerySession::StepCost() const {
-  size_t total = 0;
-  for (size_t i = 0; i < num_units(); ++i) total += UnitCost(i);
-  return total;
-}
-
 const std::string& QuerySession::ShareableUnitKey(size_t i) const {
   (void)i;
   static const std::string kEmpty;
@@ -53,11 +41,9 @@ namespace {
 // Incremental serving of a Safe query: each tick extends the plan's
 // bounded reg-leaf rows and seq witness tables by one column (they grow
 // monotonically in tf, Section 3.3) instead of recomputing Run() over the
-// whole horizon. Units are the plan's independent grounding groups (the
-// children of its projection node, disjoint streams by the safety
-// precondition): AdvanceShard extends each group's tables and warms its
-// diagonal memo entry, and CommitAdvance combines the warmed values —
-// bit-identical to a single-threaded AdvanceTo.
+// whole horizon — AdvanceTo(t) is bit-identical to the batch run. Units are
+// the plan's independent grounding groups (the children of its projection
+// node, disjoint streams by the safety precondition).
 class SafeQuerySession : public QuerySession {
  public:
   explicit SafeQuerySession(SafePlanEngine engine)
@@ -65,20 +51,13 @@ class SafeQuerySession : public QuerySession {
                      /*exact=*/true),
         engine_(std::move(engine)) {}
 
+  // The clock advances even when the tick fails, so time() stays in step
+  // with the runtime.
+  Result<double> Advance() override { return engine_.AdvanceTo(++t_); }
+
   Timestamp time() const override { return t_; }
-  size_t num_units() const override { return engine_.NumShardUnits(); }
-  size_t UnitCost(size_t i) const override { return engine_.UnitCost(i); }
-
-  void PrepareAdvance() override { engine_.PrepareShard(t_ + 1); }
-
-  void AdvanceShard(size_t begin, size_t end) override {
-    engine_.ShardAdvance(begin, end, t_ + 1);
-  }
-
-  Result<double> CommitAdvance() override {
-    ++t_;
-    return engine_.FinishAdvance(t_);
-  }
+  size_t num_units() const override { return engine_.num_groundings(); }
+  size_t StepCost() const override { return engine_.StepCost(); }
 
   SafeMemoStats MemoStats() const override { return engine_.MemoStats(); }
 
@@ -115,31 +94,16 @@ class SamplingSession : public QuerySession {
       : QuerySession(query_class, EngineKind::kSampling, /*exact=*/false),
         engine_(std::move(engine)) {}
 
+  // Step() consumes the tick even when it fails, so time() stays in step
+  // with the runtime.
+  Result<double> Advance() override { return engine_.Step(); }
+
   Timestamp time() const override { return engine_.time(); }
   size_t num_units() const override { return engine_.num_samples(); }
-  size_t UnitCost(size_t) const override { return 1; }
-
-  void PrepareAdvance() override {
-    Status s = engine_.PrepareStep();
-    if (prepare_status_.ok()) prepare_status_ = std::move(s);
-  }
-
-  void AdvanceShard(size_t begin, size_t end) override {
-    engine_.StepSampleRange(begin, end);
-  }
-
-  Result<double> CommitAdvance() override {
-    // Commit unconditionally so time() stays in step with the executor's
-    // tick even when the prepare failed; the error wins over the estimate.
-    Result<double> p = engine_.CommitStep();
-    Status prep = std::exchange(prepare_status_, Status::OK());
-    if (!prep.ok()) return prep;
-    return p;
-  }
+  size_t StepCost() const override { return engine_.num_samples(); }
 
  private:
   SamplingEngine engine_;
-  Status prepare_status_;
 };
 
 }  // namespace

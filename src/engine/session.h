@@ -11,21 +11,15 @@
 //   Safe             SafeQuerySession     O(live window)  exact
 //   Unsafe           SamplingSession      O(T * |W|)      (eps, delta)
 //
-// The protocol has two forms. Advance() consumes one timestep and returns
-// P[q@t] at the new time. The split PrepareAdvance() / AdvanceShard(begin,
-// end) / CommitAdvance() form is what the sharded executor speaks: per
-// session and per tick, one prepare, then disjoint unit ranges stepped
-// (possibly on different threads) while the database is quiescent, then one
-// commit that combines them bit-identically to a plain Advance().
-//
-// The phases are per-SESSION, not global: the windowed executor
-// (runtime/executor.h) runs different sessions' phases concurrently and
-// out of lockstep — one worker may drive its sessions through W ticks of
-// prepare/step/commit back to back while another is still on the window's
-// first tick. A session only has to be consistent with its own protocol
-// order; it must not assume all sessions sit at the same tick while a
-// window is in flight (all of them do again by the time the window's
-// results are published).
+// The protocol is Advance(): consume one timestep, return P[q@t] at the new
+// time. A session is the unit of parallelism: the windowed executor
+// (runtime/executor.h) places whole sessions on workers by StepCost() and
+// never steps one session from two threads. Sessions advance out of
+// lockstep — one worker may drive its sessions through all W ticks of a
+// window while another is still on the window's first tick — so a session
+// must not assume all sessions sit at the same tick while a window is in
+// flight (all of them do again by the time the window's results are
+// published).
 #ifndef LAHAR_ENGINE_SESSION_H_
 #define LAHAR_ENGINE_SESSION_H_
 
@@ -116,28 +110,20 @@ class QuerySession {
 
   /// Consumes timestep time()+1 (which every participating stream must
   /// already cover via Append*, unless it has ended) and returns P[q@t] at
-  /// the new time. Equivalent to AdvanceShard(0, num_units()) followed by
-  /// CommitAdvance().
-  virtual Result<double> Advance();
+  /// the new time.
+  virtual Result<double> Advance() = 0;
 
   /// The last consumed timestep (0 before the first Advance).
   virtual Timestamp time() const = 0;
 
-  /// Number of independently steppable units: per-grounding chains for the
+  /// Number of independent units (stats): per-grounding chains for the
   /// streaming engines, Monte-Carlo samples for the sampling engine, and
   /// independent grounding groups (project children) for a safe plan.
   virtual size_t num_units() const = 0;
 
-  /// Relative per-tick cost estimate of unit `i` (shard balancing).
-  virtual size_t UnitCost(size_t i) const = 0;
-
-  /// One past the last unit of the indivisible shard group containing unit
-  /// i. The executor aligns shard-range boundaries on group ends so a split
-  /// never shears a group whose units must be stepped together to stay on
-  /// their fast path (e.g. a lane-interleaved SIMD stripe). Groups are a
-  /// performance hint only — any split is still correct. Default: every
-  /// unit is its own group.
-  virtual size_t UnitGroupEnd(size_t i) const { return i + 1; }
+  /// Relative per-tick cost estimate; the executor places sessions on
+  /// workers by it (longest processing time first).
+  virtual size_t StepCost() const = 0;
 
   /// Residency and memory snapshot of this session's units (stats).
   virtual SessionResidency Residency() const {
@@ -146,32 +132,6 @@ class QuerySession {
     r.resident_units = r.registered_units;
     return r;
   }
-
-  /// Total per-tick cost estimate: sum of UnitCost over all units.
-  size_t StepCost() const;
-
-  /// Single-threaded (per session) preparation before the tick's shard
-  /// fan-out: sessions refresh state shared across units here (e.g. the
-  /// sampling engine's symbol tables after a stream interned new domain
-  /// values). The executor calls it exactly once per tick of this session,
-  /// before the tick's first AdvanceShard — under windowed execution that
-  /// is W times back to back, interleaved only with this session's own
-  /// steps and commits. Errors latch inside the session and surface at
-  /// CommitAdvance. Default: no-op.
-  virtual void PrepareAdvance() {}
-
-  /// Advances only the units in [begin, end) to time()+1. Disjoint ranges
-  /// of this session may run on different threads; the database must be
-  /// quiescent and this session's CommitAdvance must not be called while
-  /// any of its ranges is in flight. Other sessions advance independently
-  /// and may be at different ticks of the same window.
-  virtual void AdvanceShard(size_t begin, size_t end) = 0;
-
-  /// Completes a split advance once every unit range has been stepped:
-  /// bumps time() and returns P[q@t], combined bit-identically to
-  /// Advance(). Errors raised by shard work (e.g. a safe-plan operator
-  /// hitting an unsupported construct mid-stream) surface here.
-  virtual Result<double> CommitAdvance() = 0;
 
   QueryClass query_class() const { return query_class_; }
   EngineKind engine_kind() const { return engine_kind_; }
@@ -211,7 +171,7 @@ class QuerySession {
   // Classes that decline sharing keep the no-op defaults.
 
   /// Units eligible for cross-session sharing (grounded chains with a
-  /// canonical key); indices coincide with the unit indices of AdvanceShard.
+  /// canonical key); indices coincide with the session's unit indices.
   virtual size_t NumShareableUnits() const { return 0; }
 
   /// Canonical structural key of shareable unit `i` (see
@@ -251,8 +211,8 @@ class QuerySession {
   /// Whole-stripe steps taken / stripes demoted to per-unit steps since
   /// creation (stats; zero for sessions without lane-interleaved stripes).
   /// Fallbacks are data-dependent and scheduler-independent: the executor
-  /// aligns shard splits on UnitGroupEnd, so rebalances and steals must not
-  /// grow this counter (asserted by tests/chain_lifecycle_test.cc).
+  /// steps every session whole, so placement changes must not grow this
+  /// counter (asserted by tests/chain_lifecycle_test.cc).
   virtual uint64_t StripeSteps() const { return 0; }
   virtual uint64_t StripeFallbacks() const { return 0; }
 

@@ -76,14 +76,12 @@ Result<double> StreamingSession::Advance() {
   return p;
 }
 
-void StreamingSession::AdvanceShard(size_t begin, size_t end) {
-  engine_.StepChainRange(begin, end);
-}
-
-Result<double> StreamingSession::CommitAdvance() {
-  double p = engine_.CommitParallelStep();
-  LAHAR_RETURN_NOT_OK(engine_.ChainStatus());
-  return p;
+size_t StreamingSession::StepCost() const {
+  size_t total = 0;
+  for (size_t i = 0; i < engine_.num_chains(); ++i) {
+    total += engine_.ChainCost(i);
+  }
+  return total;
 }
 
 }  // namespace lahar

@@ -55,28 +55,13 @@ class StreamingSession : public QuerySession {
   /// time.
   Result<double> Advance() override;
 
-  /// Split form of Advance() for the sharded runtime executor: advances
-  /// only the chains in [begin, end) to time()+1. Disjoint ranges may run
-  /// on different threads; the database must be quiescent meanwhile.
-  void AdvanceShard(size_t begin, size_t end) override;
-
-  /// Completes a split advance once every chain range has been stepped:
-  /// bumps time() and returns P[q@t], combined bit-identically to
-  /// Advance().
-  Result<double> CommitAdvance() override;
-
   /// The last consumed timestep (0 before the first Advance).
   Timestamp time() const override { return engine_.time(); }
 
   /// Units are the per-grounding chains (the O(m) of Theorem 3.7).
   size_t num_units() const override { return engine_.num_chains(); }
-  size_t UnitCost(size_t i) const override { return engine_.ChainCost(i); }
-
-  /// Shard groups are the engine's lane-interleaved stripes: splitting one
-  /// across shards would demote every lane to per-chain fallback steps.
-  size_t UnitGroupEnd(size_t i) const override {
-    return engine_.ChainGroupEnd(i);
-  }
+  /// Summed per-chain costs (ExtendedRegularEngine::ChainCost).
+  size_t StepCost() const override;
 
   /// Residency and memory accounting (chain lifecycle; docs/PERF.md).
   SessionResidency Residency() const override {

@@ -2,12 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace lahar {
 namespace {
@@ -19,27 +13,6 @@ uint64_t NowNs() {
           .count());
 }
 
-// A split session spends its per-tick waits here: a short pause-spin for
-// the common a-few-hundred-ns gap, then yields so an oversubscribed (or
-// single-core) machine makes progress instead of burning the quantum.
-inline void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-inline void SpinWaitAtLeast(const std::atomic<uint32_t>& v, uint32_t target) {
-  for (int spins = 0; v.load(std::memory_order_acquire) < target; ++spins) {
-    if (spins < 64) {
-      CpuRelax();
-    } else {
-      std::this_thread::yield();
-    }
-  }
-}
-
 // Log2-ish histogram bucket for a window size W >= 1 (see executor.h).
 size_t WindowBucket(size_t w) {
   size_t b = 0;
@@ -48,20 +21,6 @@ size_t WindowBucket(size_t w) {
     ++b;
   }
   return b;
-}
-
-void PinToCore(std::thread& t, size_t core) {
-#ifdef __linux__
-  const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(core % ncpu), &set);
-  // Best effort: a restricted cpuset just leaves the thread unpinned.
-  (void)pthread_setaffinity_np(t.native_handle(), sizeof(set), &set);
-#else
-  (void)t;
-  (void)core;
-#endif
 }
 
 }  // namespace
@@ -154,7 +113,6 @@ void StreamRuntime::Start() {
   if (num_threads_ > 1) {
     for (size_t i = 0; i < num_threads_; ++i) {
       shards_.emplace_back([this, i] { ShardLoop(i); });
-      if (options_.pin_threads) PinToCore(shards_.back(), i);
     }
   }
   coordinator_ = std::thread([this] { CoordinatorLoop(); });
@@ -229,9 +187,6 @@ RuntimeStats StreamRuntime::Stats() const {
     out.max_window_ticks = window_cap_;
     out.window_size_hist.assign(window_size_hist_.begin(),
                                 window_size_hist_.end());
-    out.steals = steals_;
-    out.split_placements = split_placements_;
-    out.rebalances = rebalances_;
     out.plan_rebuilds = plan_rebuilds_;
     out.barrier_wait = barrier_wait_.Summarize();
     out.sharing_groups = registry_.num_sharing_groups();
@@ -325,14 +280,10 @@ RuntimeStats StreamRuntime::Stats() const {
   return out;
 }
 
-void StreamRuntime::RebuildPlan(bool measured) {
+void StreamRuntime::RebuildPlan() {
   ++plan_rebuilds_;
   const size_t nshards = shard_plan_.size();
-  for (ShardPlan& p : shard_plan_) {
-    p.shared.clear();
-    p.owned.clear();
-  }
-  shared_groups_.clear();
+  for (std::vector<OwnedItem>& owned : shard_plan_) owned.clear();
   const size_t nq = registry_.size();
   // The window buffer follows the registry: one column per query, one row
   // per possible window tick.
@@ -343,10 +294,6 @@ void StreamRuntime::RebuildPlan(bool measured) {
   work_version_ = registry_.version();
   if (nq == 0) return;
 
-  // Cost model: static UnitCost estimates on registry-change rebuilds
-  // (deterministic before anything has run), measured per-tick nanoseconds
-  // on drift rebalances (every session has committed at least one window
-  // by then, so every cost is a real measurement).
   struct Item {
     StandingQuery* q;
     size_t index;
@@ -354,180 +301,48 @@ void StreamRuntime::RebuildPlan(bool measured) {
   };
   std::vector<Item> items;
   items.reserve(nq);
-  uint64_t total_cost = 0;
   {
     size_t index = 0;
     for (const auto& q : registry_.queries()) {
-      uint64_t cost = measured ? q->measured_ns : q->session->StepCost();
-      if (cost == 0) cost = 1;
-      items.push_back(Item{q.get(), index++, cost});
-      total_cost += cost;
+      const uint64_t cost = q->session->StepCost();
+      items.push_back(Item{q.get(), index++, cost == 0 ? 1 : cost});
     }
   }
-  // Longest-processing-time greedy: heaviest first onto the lightest
-  // shard. Ties break on registry order / lowest shard, so static rebuilds
-  // are deterministic.
+  // Longest-processing-time greedy over static StepCost estimates:
+  // heaviest session first onto the lightest shard. Ties break on registry
+  // order / lowest shard, so the placement is deterministic.
   std::stable_sort(items.begin(), items.end(),
                    [](const Item& a, const Item& b) { return a.cost > b.cost; });
   std::vector<uint64_t> load(nshards, 0);
-  const uint64_t quota = (total_cost + nshards - 1) / nshards;
-  auto lightest = [&](size_t skip_used, const std::vector<size_t>& used) {
-    size_t best = SIZE_MAX;
-    for (size_t s = 0; s < nshards; ++s) {
-      if (skip_used &&
-          std::find(used.begin(), used.end(), s) != used.end()) {
-        continue;
-      }
-      if (best == SIZE_MAX || load[s] < load[best]) best = s;
-    }
-    return best;
-  };
-  const std::vector<size_t> kNone;
   for (const Item& item : items) {
-    const size_t nunits = item.q->session->num_units();
-    // A session heavier than ~1.5x the per-shard quota cannot be balanced
-    // whole; split its unit range across (up to) as many workers as its
-    // cost spans quotas. The ranges must land on distinct shards — two
-    // ranges of one group on one worker would wait on themselves.
-    const bool split = nshards > 1 && nunits >= 2 &&
-                       item.cost > quota + quota / 2;
-    if (!split) {
-      const size_t s = lightest(false, kNone);
-      shard_plan_[s].owned.push_back(OwnedItem{item.q, item.index});
-      load[s] += item.cost;
-      if (measured && item.q->home_shard != s) ++steals_;
-      item.q->home_shard = s;
-      continue;
-    }
-    size_t nranges = std::min<uint64_t>(
-        nshards, (item.cost + quota - 1) / std::max<uint64_t>(1, quota));
-    nranges = std::min(nranges, nunits);
-    if (nranges < 2) {
-      const size_t s = lightest(false, kNone);
-      shard_plan_[s].owned.push_back(OwnedItem{item.q, item.index});
-      load[s] += item.cost;
-      if (measured && item.q->home_shard != s) ++steals_;
-      item.q->home_shard = s;
-      continue;
-    }
-    // Contiguous unit ranges balanced by UnitCost (measured cost is
-    // per-session; the per-unit proportions still come from the static
-    // estimate).
-    uint64_t unit_total = 0;
-    for (size_t i = 0; i < nunits; ++i) unit_total += item.q->session->UnitCost(i);
-    const uint64_t range_quota =
-        std::max<uint64_t>(1, (unit_total + nranges - 1) / nranges);
-    shared_groups_.emplace_back();
-    SharedGroup& g = shared_groups_.back();
-    g.query = item.q;
-    g.index = item.index;
-    // Cuts land only on shard-group boundaries (UnitGroupEnd): splitting a
-    // lane-interleaved SIMD stripe across shards would demote every lane to
-    // the per-chain fallback step, so a rebalance must never shear one.
-    std::vector<std::pair<size_t, size_t>> ranges;  // [begin, end)
-    size_t begin = 0;
-    uint64_t filled = 0;
-    for (size_t i = 0; i < nunits;) {
-      size_t ge = item.q->session->UnitGroupEnd(i);
-      if (ge <= i || ge > nunits) ge = i + 1;
-      if (filled >= range_quota && ranges.size() + 1 < nranges && i > begin) {
-        ranges.emplace_back(begin, i);
-        begin = i;
-        filled = 0;
-      }
-      for (size_t u = i; u < ge; ++u) {
-        filled += item.q->session->UnitCost(u);
-      }
-      i = ge;
-    }
-    ranges.emplace_back(begin, nunits);
-    g.nranges = static_cast<uint32_t>(ranges.size());
-    std::vector<size_t> used;
-    for (const auto& [b, e] : ranges) {
-      const size_t s = lightest(true, used);
-      used.push_back(s);
-      shard_plan_[s].shared.push_back(SharedRange{&g, b, e});
-      // Charge the shard this range's share of the session cost.
-      uint64_t range_cost = 0;
-      for (size_t i = b; i < e; ++i) range_cost += item.q->session->UnitCost(i);
-      load[s] += unit_total > 0
-                     ? item.cost * range_cost / unit_total
-                     : item.cost / ranges.size();
-    }
-    // A split group's primary shard moves whenever the range partition
-    // shifts, which is a deliberate placement decision, not a drift steal —
-    // count it separately so `steals` keeps measuring rebalance churn.
-    if (measured && item.q->home_shard != used[0]) ++split_placements_;
-    item.q->home_shard = used[0];
-  }
-  // Every worker visits split sessions in the same global order (see
-  // ShardPlan in executor.h).
-  for (ShardPlan& p : shard_plan_) {
-    std::sort(p.shared.begin(), p.shared.end(),
-              [](const SharedRange& a, const SharedRange& b) {
-                return a.group->index < b.group->index;
-              });
+    const size_t s = static_cast<size_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    shard_plan_[s].push_back(OwnedItem{item.q, item.index});
+    load[s] += item.cost;
   }
 }
 
 void StreamRuntime::RunWindowShard(size_t shard) {
   const size_t W = window_size_;
-  ShardPlan& plan = shard_plan_[shard];
   ShardScratch& scratch = shard_scratch_[shard];
   scratch.chains = 0;
   const uint64_t w0 = NowNs();
-  // Split sessions first, in global group order (deadlock freedom: when a
-  // worker reaches group g, every group it holds with a smaller index is
-  // done, so the participants of the smallest unfinished group are all
-  // either at it or unblocked on their way to it).
-  for (const SharedRange& r : plan.shared) {
-    SharedGroup* g = r.group;
-    QuerySession* session = g->query->session.get();
-    for (uint32_t k = 1; k <= W; ++k) {
-      SpinWaitAtLeast(g->ready_tick, k);
-      const uint64_t a0 = NowNs();
-      session->AdvanceShard(r.begin, r.end);
-      scratch.chains += r.end - r.begin;
-      WindowEntry& e = window_entries_[k - 1][g->index];
-      e.ns.fetch_add(NowNs() - a0, std::memory_order_relaxed);
-      if (g->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Last range in: this thread owns the session until it reopens the
-        // group, so committing here is the same single-threaded commit the
-        // sequential path runs.
-        const uint64_t c0 = NowNs();
-        Result<double> p = session->CommitAdvance();
-        if (p.ok()) {
-          e.prob = *p;
-          e.ok = true;
-        } else {
-          e.error = p.status();
-        }
-        if (k < W) session->PrepareAdvance();
-        e.ns.fetch_add(NowNs() - c0, std::memory_order_relaxed);
-        g->remaining.store(g->nranges, std::memory_order_relaxed);
-        g->ready_tick.store(k + 1, std::memory_order_release);
-      }
-    }
-  }
-  // Owned sessions: the whole window with zero synchronization. Each tick
-  // is exactly the sequential Advance() protocol, so W ticks here are
-  // bit-identical to W per-tick barriers.
-  for (const OwnedItem& o : plan.owned) {
+  // The whole window with zero synchronization: W sequential Advance()
+  // calls per session, bit-identical to W per-tick barriers.
+  for (const OwnedItem& o : shard_plan_[shard]) {
     QuerySession* session = o.query->session.get();
     const size_t n = session->num_units();
     for (size_t k = 0; k < W; ++k) {
       const uint64_t a0 = NowNs();
-      session->PrepareAdvance();
-      if (n > 0) session->AdvanceShard(0, n);
-      Result<double> p = session->CommitAdvance();
+      Result<double> p = session->Advance();
       WindowEntry& e = window_entries_[k][o.index];
-      if (p.ok()) {
+      e.ok = p.ok();
+      if (e.ok) {
         e.prob = *p;
-        e.ok = true;
       } else {
         e.error = p.status();
       }
-      e.ns.store(NowNs() - a0, std::memory_order_relaxed);
+      e.ns = NowNs() - a0;
       scratch.chains += n;
     }
   }
@@ -537,7 +352,7 @@ void StreamRuntime::RunWindowShard(size_t shard) {
 void StreamRuntime::RunWindow(
     size_t window, std::vector<std::shared_ptr<const TickResult>>* out) {
   const uint64_t t0 = NowNs();
-  if (work_version_ != registry_.version()) RebuildPlan(/*measured=*/false);
+  if (work_version_ != registry_.version()) RebuildPlan();
   const size_t W = window_size_ = window;
   const size_t nq = registry_.size();
   // Shared-unit phase (docs/SHARING.md): every cross-query shared unit
@@ -545,20 +360,6 @@ void StreamRuntime::RunWindow(
   // chains then read the recorded frontier instead of stepping. The epoch
   // bump below publishes the frontiers to the worker pool.
   registry_.AdvanceSharedUnits(tick_ + W);
-  for (size_t k = 0; k < W; ++k) {
-    for (WindowEntry& e : window_entries_[k]) {
-      e.ok = false;
-      e.error = Status::OK();
-      e.ns.store(0, std::memory_order_relaxed);
-    }
-  }
-  // Arm split sessions: run their first PrepareAdvance here (no range may
-  // be in flight — none is) and open tick 1.
-  for (SharedGroup& g : shared_groups_) {
-    g.remaining.store(g.nranges, std::memory_order_relaxed);
-    g.query->session->PrepareAdvance();
-    g.ready_tick.store(1, std::memory_order_release);
-  }
 
   if (num_threads_ > 1) {
     for (ShardScratch& s : shard_scratch_) {
@@ -611,12 +412,9 @@ void StreamRuntime::RunWindow(
     for (size_t i = 0; i < nq; ++i) {
       StandingQuery* q = queries[i].get();
       WindowEntry& e = window_entries_[k][i];
-      const uint64_t ns = e.ns.load(std::memory_order_relaxed);
-      q->advance_latency.Record(ns);
-      class_latency_[static_cast<size_t>(q->query_class)].Record(ns);
+      q->advance_latency.Record(e.ns);
+      class_latency_[static_cast<size_t>(q->query_class)].Record(e.ns);
       ++q->ticks;
-      // Half-life-one EWMA of the per-tick cost, for drift rebalances.
-      q->measured_ns = q->measured_ns > 0 ? (q->measured_ns + ns) / 2 : ns;
       if (e.ok) {
         snapshot->probs.emplace_back(q->id, e.prob);
       } else {
@@ -639,25 +437,6 @@ void StreamRuntime::RunWindow(
 
   ++windows_executed_;
   ++window_size_hist_[WindowBucket(W)];
-
-  // Drift check: when one worker's measured window cost runs >2x the mean,
-  // the static estimates have gone stale — rebuild the plan from measured
-  // per-session costs. The cooldown and the absolute floor keep noise on
-  // near-empty windows from thrashing the plan.
-  if (num_threads_ > 1 && nq > 1 &&
-      windows_executed_ >= last_rebalance_window_ + 4) {
-    uint64_t sum = 0, max_busy = 0;
-    for (const ShardScratch& s : shard_scratch_) {
-      sum += s.busy_ns;
-      max_busy = std::max(max_busy, s.busy_ns);
-    }
-    const uint64_t mean = sum / shard_scratch_.size();
-    if (sum > 100'000 && mean > 0 && max_busy > 2 * mean) {
-      RebuildPlan(/*measured=*/true);
-      ++rebalances_;
-      last_rebalance_window_ = windows_executed_;
-    }
-  }
 }
 
 void StreamRuntime::CoordinatorLoop() {
@@ -748,11 +527,10 @@ void StreamRuntime::ShardLoop(size_t shard) {
       seen = epoch_.load(std::memory_order_acquire);
     }
     RunWindowShard(shard);
-    // Completion publication: flag first (per-shard), then the running
-    // count; the last worker's decrement releases the whole window's
-    // writes to the coordinator, and the empty critical section makes the
-    // notify visible to a coordinator between predicate check and sleep.
-    shard_scratch_[shard].done_epoch.store(seen, std::memory_order_release);
+    // Completion publication: the last worker's running-count decrement
+    // releases the whole window's writes to the coordinator, and the empty
+    // critical section makes the notify visible to a coordinator between
+    // predicate check and sleep.
     if (shards_running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       { std::lock_guard<std::mutex> lock(work_mu_); }
       done_cv_.notify_all();

@@ -9,38 +9,31 @@
 //   applies every drained batch to the database and advances the
 //   Watermark; if the watermark now covers ticks (tick_, tick_ + W]
 //   (W <= RuntimeOptions::max_window_ticks), the coordinator publishes ONE
-//   work epoch for the whole window. Each worker advances its
-//   persistently-assigned sessions through all W ticks back to back —
-//   PrepareAdvance / AdvanceShard / CommitAdvance per tick, results
-//   committed lock-free into a preallocated window buffer — then raises
-//   its per-shard completion flag. After the single end-of-window barrier
-//   the coordinator harvests the buffer and publishes one immutable
-//   TickResult per tick, in order.
+//   work epoch for the whole window. Each worker advances its assigned
+//   sessions through all W ticks back to back — one Advance() per session
+//   per tick, results written into a preallocated window buffer. After the
+//   single end-of-window barrier the coordinator harvests the buffer and
+//   publishes one immutable TickResult per tick, in order.
 //
 // Windowing changes only where barriers happen, never what is computed:
-// within a session the per-tick protocol (prepare, step units, commit) is
-// exactly the sequential Advance() loop, so published probabilities and
-// checkpoint bytes are bit-identical to per-tick execution
-// (max_window_ticks == 1) and to a single-threaded run. The tick callback
-// also still fires once per tick in order — checkpoint triggers and the
-// net front-end's fan-out (src/net/server.cc) observe no difference
-// beyond latency.
+// each session runs exactly the sequential Advance() loop, so published
+// probabilities and checkpoint bytes are bit-identical to per-tick
+// execution (max_window_ticks == 1) and to a single-threaded run. The tick
+// callback also still fires once per tick in order — checkpoint triggers
+// and the net front-end's fan-out (src/net/server.cc) observe no
+// difference beyond latency.
 //
-// Work assignment is persistent, not per-tick: the plan maps whole
-// sessions to workers (cost-weighted greedy) and is rebuilt only when the
-// registry version changes. A session heavier than ~1.5x the per-shard
-// quota is split into unit ranges spread over several workers; those
-// ranges synchronize per tick through the group's atomics (an atomic
-// countdown elects the committing range; no mutex, no condvar). When a
-// shard's measured window cost drifts >2x above the mean, the coordinator
-// rebuilds the plan from measured per-session costs instead of static
-// estimates and counts every session that changed owner as a steal.
+// Work assignment is whole sessions, placed persistently: the engines are
+// independent per query (Theorems 3.3/3.7), so parallelism comes from
+// running sessions side by side, never from cutting one across threads.
+// The plan maps each session to one worker by longest-processing-time
+// greedy over static QuerySession::StepCost() estimates and is rebuilt
+// only when the registry version changes.
 //
 // Synchronization budget per window: one mutex/condvar handshake to wake
 // the pool and one to park the coordinator at the end-of-window barrier —
-// per-tick work never takes a lock. The epoch counter and the per-shard
-// completion flags are atomics; the window buffer is written by exactly
-// one thread per (tick, query) slot.
+// per-tick work never takes a lock. The window buffer is written by
+// exactly one worker per (tick, query) slot.
 //
 // Threading contract: the database is written only by the coordinator, and
 // only while no window is in flight; workers read it during the window.
@@ -54,7 +47,6 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -71,7 +63,7 @@ namespace lahar {
 struct TickResult {
   Timestamp t = 0;
   /// (QueryId, probability) in registration order (ascending id). A query
-  /// whose CommitAdvance failed this tick is absent (see
+  /// whose Advance failed this tick is absent (see
   /// StandingQuery::last_error in the stats).
   std::vector<std::pair<QueryId, double>> probs;
 
@@ -98,10 +90,6 @@ struct RuntimeOptions {
   /// per-tick barriers; 0 is treated as 1. Results are bit-identical for
   /// every value — only latency and throughput change.
   size_t max_window_ticks = 16;
-  /// Pin worker thread i to core i modulo the core count (Linux only;
-  /// silently ignored elsewhere). Helps steady-state serving at high
-  /// thread counts; leave off when sharing the machine.
-  bool pin_threads = false;
   /// Session routing options (safe-plan compilation, sampling parameters,
   /// and whether Safe/Unsafe queries may fall back to sampling).
   LaharOptions session;
@@ -201,60 +189,27 @@ class StreamRuntime {
   Status Restore(std::string_view snapshot);
 
  private:
-  // One whole session owned end to end by one worker for the window (the
-  // common case): the owner runs the per-tick protocol W times with no
-  // synchronization at all.
+  // One whole session owned end to end by one worker: the owner runs
+  // Advance() W times per window with no synchronization at all.
   struct OwnedItem {
     StandingQuery* query;
     size_t index;  // registry position == window-buffer column
   };
-  // A session too heavy for one worker: its unit ranges run on several
-  // workers, synchronized per tick through these atomics (no locks). The
-  // range that decrements `remaining` to zero commits the tick, prepares
-  // the next one, and opens it by bumping `ready_tick`.
-  struct SharedGroup {
-    StandingQuery* query = nullptr;
-    size_t index = 0;
-    uint32_t nranges = 0;
-    std::atomic<uint32_t> remaining{0};
-    // Highest window tick (1-based) ranges may step; the coordinator arms
-    // it to 1 after running the session's first PrepareAdvance.
-    std::atomic<uint32_t> ready_tick{0};
-  };
-  struct SharedRange {
-    SharedGroup* group;
-    size_t begin;
-    size_t end;
-  };
-  // Per-worker work for one window. `shared` is ordered by ascending group
-  // index on every worker — all workers visit split sessions in the same
-  // global order, which (with shared-before-owned execution) rules out
-  // cross-group waiting cycles.
-  struct ShardPlan {
-    std::vector<SharedRange> shared;
-    std::vector<OwnedItem> owned;
-  };
-  // One query's slot for one window tick. Written during the window by
-  // exactly one thread (the owner, or the committing range of a split
-  // session; `ns` alone takes concurrent relaxed adds from ranges), read
-  // by the coordinator after the end-of-window barrier.
+  // One query's slot for one window tick. Written in full every window by
+  // the session's owner (every registered session is in the plan), read by
+  // the coordinator after the end-of-window barrier; `error` is meaningful
+  // only when !ok.
   struct WindowEntry {
     double prob = 0;
     bool ok = false;
     Status error;
-    std::atomic<uint64_t> ns{0};
-    WindowEntry() = default;
-    // Vector growth only; never copied while a window is in flight.
-    WindowEntry(const WindowEntry& o)
-        : prob(o.prob), ok(o.ok), error(o.error), ns(o.ns.load()) {}
+    uint64_t ns = 0;
   };
   // Per-worker scratch: written exclusively by the owning worker during a
-  // window, read by the coordinator after the barrier. done_epoch is the
-  // per-shard completion flag of the epoch handshake.
+  // window, read by the coordinator after the barrier.
   struct ShardScratch {
     uint64_t chains = 0;   // units stepped this window (summed per tick)
     uint64_t busy_ns = 0;  // wall time this worker spent on the window
-    std::atomic<uint64_t> done_epoch{0};
   };
   struct ShardCounters {
     uint64_t ticks = 0;
@@ -271,11 +226,9 @@ class StreamRuntime {
                  std::vector<std::shared_ptr<const TickResult>>* out);
   // One worker's share of the current window (also the inline path's body).
   void RunWindowShard(size_t shard);
-  // Rebuilds the persistent plan; requires state_mu_ held and no window in
-  // flight. `measured` switches the cost model from static UnitCost
-  // estimates to measured per-session nanoseconds (drift rebalances) and
-  // counts owner changes as steals.
-  void RebuildPlan(bool measured);
+  // Rebuilds the persistent placement; requires state_mu_ held and no
+  // window in flight.
+  void RebuildPlan();
 
   EventDatabase* db_;
   RuntimeOptions options_;
@@ -300,21 +253,16 @@ class StreamRuntime {
   // Window sizes, log2 buckets: [1] [2] [3-4] [5-8] [9-16] [17-32] [33-64]
   // and 65+.
   std::array<uint64_t, 8> window_size_hist_{};
-  uint64_t steals_ = 0;      // whole sessions moved by drift rebalances
-  uint64_t split_placements_ = 0;  // split-group primary-shard moves
-  uint64_t rebalances_ = 0;  // drift-triggered plan rebuilds
-  uint64_t plan_rebuilds_ = 0;  // all plan rebuilds (registry churn + drift)
-  uint64_t last_rebalance_window_ = 0;
+  uint64_t plan_rebuilds_ = 0;  // placement rebuilds (registry churn)
   LatencyRecorder barrier_wait_;  // coordinator wait at the window barrier
   uint64_t work_version_ = ~0ULL;  // registry version the plan matches
 
   // The window plan and buffer: written by the coordinator between windows
   // (under state_mu_), read by workers during one. Publication to the pool
   // happens-before via the work_mu_ handshake; completion happens-before
-  // via the per-shard flags and the running-count decrement chain.
+  // via the running-count decrement chain.
   size_t window_size_ = 0;
-  std::vector<ShardPlan> shard_plan_;
-  std::deque<SharedGroup> shared_groups_;  // stable addresses for the plan
+  std::vector<std::vector<OwnedItem>> shard_plan_;  // [shard] -> sessions
   std::vector<std::vector<WindowEntry>> window_entries_;  // [tick][query]
   std::vector<ShardScratch> shard_scratch_;
 

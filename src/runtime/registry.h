@@ -48,15 +48,10 @@ struct StandingQuery {
   std::unique_ptr<QuerySession> session;
 
   // Coordinator-only window bookkeeping (harvested after the end-of-window
-  // barrier, never touched by shard threads): the measured per-tick cost in
-  // nanoseconds (a half-life-one EWMA) drives drift-triggered work
-  // stealing, and home_shard remembers the last plan's owner so a
-  // rebalance can count how many sessions actually moved.
-  uint64_t measured_ns = 0;
-  size_t home_shard = 0;
+  // barrier, never touched by worker threads).
   uint64_t ticks = 0;
-  uint64_t errors = 0;       ///< ticks whose CommitAdvance failed
-  Status last_error;         ///< most recent CommitAdvance failure
+  uint64_t errors = 0;       ///< ticks whose Advance failed
+  Status last_error;         ///< most recent Advance failure
   LatencyRecorder advance_latency;
 
   /// Kernel-cache lookups attributable to building this query's session.
@@ -115,12 +110,12 @@ class QueryRegistry {
 
   size_t size() const { return queries_.size(); }
 
-  /// Total shardable units across all sessions (chains for the streaming
-  /// engines, samples for sampling sessions, 1 per safe plan).
+  /// Total units across all sessions (chains for the streaming engines,
+  /// samples for sampling sessions, grounding groups for safe plans).
   size_t total_chains() const;
 
-  /// Bumped on every Register/Unregister; the executor rebuilds its shard
-  /// partitions when it observes a new version.
+  /// Bumped on every Register/Unregister; the executor rebuilds its
+  /// session placement when it observes a new version.
   uint64_t version() const { return version_; }
 
   // --- Cross-query sharing (docs/SHARING.md) ------------------------------

@@ -142,13 +142,9 @@ std::string RuntimeStats::ToString() const {
   out += buf;
   if (windows_executed > 0) {
     std::snprintf(buf, sizeof(buf),
-                  "windows: executed=%llu cap=%zu steals=%llu "
-                  "split_placements=%llu rebalances=%llu "
-                  "plan_rebuilds=%llu hist=[",
+                  "windows: executed=%llu cap=%zu plan_rebuilds=%llu hist=[",
                   static_cast<unsigned long long>(windows_executed),
-                  max_window_ticks, static_cast<unsigned long long>(steals),
-                  static_cast<unsigned long long>(split_placements),
-                  static_cast<unsigned long long>(rebalances),
+                  max_window_ticks,
                   static_cast<unsigned long long>(plan_rebuilds));
     out += buf;
     for (size_t i = 0; i < window_size_hist.size(); ++i) {
@@ -350,13 +346,9 @@ std::string RuntimeStats::ToJson() const {
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "\"windows_executed\":%llu,\"max_window_ticks\":%zu,"
-                "\"steals\":%llu,\"split_placements\":%llu,"
-                "\"rebalances\":%llu,\"plan_rebuilds\":%llu,"
-                "\"window_size_hist\":[",
+                "\"plan_rebuilds\":%llu,\"window_size_hist\":[",
                 static_cast<unsigned long long>(windows_executed),
-                max_window_ticks, static_cast<unsigned long long>(steals),
-                static_cast<unsigned long long>(split_placements),
-                static_cast<unsigned long long>(rebalances),
+                max_window_ticks,
                 static_cast<unsigned long long>(plan_rebuilds));
   out += buf;
   for (size_t i = 0; i < window_size_hist.size(); ++i) {

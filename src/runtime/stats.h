@@ -59,14 +59,13 @@ struct QueryStats {
   std::string engine;
   /// False when the session serves (epsilon, delta) sampling estimates.
   bool exact = true;
-  /// Shardable units: chains for streaming sessions, samples for sampling
-  /// sessions, 1 for a safe plan.
+  /// Units: chains for streaming sessions, samples for sampling sessions,
+  /// grounding groups for a safe plan.
   size_t num_chains = 0;
   uint64_t ticks = 0;
-  uint64_t errors = 0;      ///< ticks whose CommitAdvance failed
-  std::string last_error;   ///< empty when the last commit succeeded
-  /// Wall time spent stepping this query's units per tick (summed across
-  /// the shards that shared them).
+  uint64_t errors = 0;      ///< ticks whose Advance failed
+  std::string last_error;   ///< empty when the last advance succeeded
+  /// Wall time spent advancing this query per tick.
   LatencySummary advance;
   /// Safe-path cache counters (zero for the other classes): live interval
   /// memo entries / reg rows and the eviction activity that keeps them
@@ -90,8 +89,8 @@ struct QueryStats {
   /// (docs/PERF.md).
   size_t simd_units = 0;
   /// Whole-stripe steps taken / stripes demoted to per-unit steps.
-  /// Fallbacks are data-dependent: the executor aligns shard splits on
-  /// stripe boundaries, so rebalances must not grow them.
+  /// Fallbacks are data-dependent: the executor steps every session whole,
+  /// so placement changes must not grow them.
   uint64_t stripe_steps = 0;
   uint64_t stripe_fallbacks = 0;
   // --- chain lifecycle (docs/PERF.md "Chain lifecycle") -------------------
@@ -195,9 +194,7 @@ struct RuntimeStats {
   uint64_t kernel_cache_misses = 0;
   size_t kernel_cache_entries = 0;
   /// Chains stepping on the vectorized SoA kernel path across all queries
-  /// (docs/PERF.md), with their whole-stripe steps and per-unit demotions
-  /// (stripe_fallbacks growing under rebalance churn means shard splits
-  /// are shearing lane-interleaved stripes).
+  /// (docs/PERF.md), with their whole-stripe steps and per-unit demotions.
   size_t simd_units = 0;
   uint64_t stripe_steps = 0;
   uint64_t stripe_fallbacks = 0;
@@ -223,14 +220,10 @@ struct RuntimeStats {
   /// [33-64] and 65+. Mass in the first bucket means producers never run
   /// ahead (per-tick barriers); mass to the right is amortized handshakes.
   std::vector<uint64_t> window_size_hist;
-  uint64_t steals = 0;      ///< whole sessions moved between shards by rebalances
-  uint64_t split_placements = 0;  ///< split-group primary-shard moves
-  uint64_t rebalances = 0;  ///< drift-triggered plan rebuilds
-  /// Work-plan rebuilds of any cause: registry churn (register/unregister
-  /// bumps the version; the next window rebuilds from static costs) plus
-  /// the drift rebalances above. Deterministically >= 1 once a window has
-  /// run, and grows with each churn batch — unlike steals, which require a
-  /// measured drift rebalance to move an owner.
+  /// Work-plan rebuilds: register/unregister bumps the registry version,
+  /// and the next window rebuilds the placement from static costs.
+  /// Deterministically >= 1 once a window has run, and grows with each
+  /// churn batch.
   uint64_t plan_rebuilds = 0;
   /// Coordinator wait at the end-of-window barrier (one record per window,
   /// multi-threaded runs only) — the pool's straggler skew.

@@ -1,15 +1,15 @@
 // Chain lifecycle (docs/PERF.md "Chain lifecycle"): lazy materialization,
-// cold-chain spill, and stripe-aware sharding under the streaming runtime.
+// cold-chain spill, and striped sessions under the streaming runtime.
 //
 // The contract under test is bit-identity: every lifecycle configuration
 // (lazy stubs, cold spill, both) must produce EXPECT_EQ-equal per-tick
 // probabilities, per-chain probabilities, and checkpoint bytes against the
 // always-materialized reference — including across a spill -> checkpoint ->
 // restore -> rehydrate round trip. The runtime-labeled stress tests at the
-// bottom run under the tsan/asan presets and additionally pin down the
-// stripe-aware sharding guarantee: executor rebalances and steals never
-// shear a lane-interleaved stripe, so stripe counters match a sequential
-// replay exactly.
+// bottom run under the tsan/asan presets and additionally pin down that
+// placement changes never shear a lane-interleaved stripe: the executor
+// steps every session whole on one worker, so stripe counters match a
+// sequential replay exactly.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -296,72 +296,12 @@ TEST(ChainLifecycleTest, RowPoolEvictionRebuildsDeterministically) {
   EXPECT_GT(rebuilds, 0u);
 }
 
-TEST(ChainLifecycleTest, Float32TierChainsRehydrateIntoSameTier) {
-  // float32 rows are a *tier*, not an accident of construction: a chain
-  // built on the f32 tier that spills cold must rehydrate back onto the
-  // f32 tier (and stay bit-identical to an always-materialized engine of
-  // the same tier — cross-tier comparison is only near-equal, see
-  // kernel_equivalence_test).
-  const Timestamp horizon = 20;
-  EventDatabase db;
-  AddScheduledStream(&db, "hot", horizon, [](Timestamp) { return true; });
-  AddScheduledStream(&db, "w", horizon, [](Timestamp t) {
-    return t <= 4 || (t > 16 && t <= 20);
-  });
-
-  TransitionRowPool pool;
-  ChainOptions f32_dense;
-  f32_dense.step_mode = KernelStepMode::kSimd;
-  f32_dense.float32_rows = true;
-  f32_dense.row_pool = &pool;
-  ChainOptions f32_cycle = Lifecycle(/*lazy=*/true, /*spill=*/true,
-                                     /*cold_after=*/3);
-  f32_cycle.step_mode = KernelStepMode::kSimd;
-  f32_cycle.float32_rows = true;
-  f32_cycle.row_pool = &pool;
-
-  auto dense = MakeEngine(&db, f32_dense);
-  auto cycle = MakeEngine(&db, f32_cycle);
-  ASSERT_OK(dense.status());
-  ASSERT_OK(cycle.status());
-  EXPECT_EQ(dense->num_simd(), 2u);
-
-  for (Timestamp t = 1; t <= horizon; ++t) {
-    EXPECT_EQ(dense->Step(), cycle->Step()) << "t=" << t;
-    if (t == 5) {
-      // Both keys loud and materialized: "w" was promoted onto the tier
-      // its options name.
-      ASSERT_EQ(cycle->num_resident(), 2u);
-      for (size_t i = 0; i < cycle->num_chains(); ++i) {
-        EXPECT_TRUE(cycle->chain(i).simd()) << "chain=" << i;
-        EXPECT_TRUE(cycle->chain(i).float32_rows()) << "chain=" << i;
-      }
-    }
-    if (t == 16) {
-      // "w" idled past cold_after and left residency.
-      EXPECT_EQ(cycle->num_resident(), 1u);
-      EXPECT_GE(cycle->spills(), 1u);
-    }
-  }
-  ASSERT_OK(cycle->ChainStatus());
-  // "w" reawakened at t=17: back to resident, same tier.
-  ASSERT_EQ(cycle->num_resident(), 2u);
-  for (size_t i = 0; i < cycle->num_chains(); ++i) {
-    EXPECT_TRUE(cycle->chain(i).simd()) << "chain=" << i;
-    EXPECT_TRUE(cycle->chain(i).float32_rows()) << "chain=" << i;
-  }
-  serial::Writer wd, wc;
-  dense->SaveState(&wd);
-  cycle->SaveState(&wc);
-  EXPECT_EQ(wd.str(), wc.str());
-}
-
 // --- runtime stress (tsan/asan presets) -----------------------------------
 
 // Drives a striped heavy session through the concurrent executor while
-// registration churn forces shard-plan rebuilds and steals, then asserts
-// the stripe counters match a sequential replay exactly: shard splits
-// aligned on UnitGroupEnd never shear a stripe, so whole-stripe steps and
+// registration churn forces placement rebuilds that may move it between
+// workers, then asserts the stripe counters match a sequential replay
+// exactly: the session is always stepped whole, so whole-stripe steps and
 // data-dependent fallbacks are scheduler-independent.
 TEST(ChainLifecycleStressTest, StripedShardsSurviveRebalanceChurn) {
   const Timestamp horizon = 300;
@@ -422,7 +362,7 @@ TEST(ChainLifecycleStressTest, StripedShardsSurviveRebalanceChurn) {
   runtime.Start();
   // Phased ingestion: each churn batch lands while later ticks are still
   // unpushed, so a subsequent window is guaranteed to observe the registry
-  // version bump and rebuild the shard plan mid-stream.
+  // version bump and rebuild the placement mid-stream.
   size_t next_batch = 0;
   auto push_until = [&](size_t end) {
     for (; next_batch < end && next_batch < batches->size(); ++next_batch) {
@@ -459,10 +399,8 @@ TEST(ChainLifecycleStressTest, StripedShardsSurviveRebalanceChurn) {
   }
   EXPECT_EQ(mismatches, 0u);
 
-  // The churn must actually have rebuilt the shard plan mid-stream: the
-  // initial build plus at least one per churn phase. (Steals only count on
-  // drift rebalances, whose trigger is a measured 2x load skew — timing-
-  // dependent and so unassertable under TSan; plan_rebuilds is not.)
+  // The churn must actually have rebuilt the placement mid-stream: the
+  // initial build plus at least one per churn phase.
   EXPECT_GE(stats.plan_rebuilds, 4u);
   // ...and the heavy session's stripe counters must not have noticed:
   // identical whole-stripe steps (a sheared stripe would silently demote

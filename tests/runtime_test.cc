@@ -9,6 +9,8 @@
 #include <chrono>
 #include <thread>
 
+#include "analysis/prepared.h"
+#include "engine/session.h"
 #include "engine/streaming.h"
 #include "runtime/executor.h"
 #include "runtime/ingest.h"
@@ -489,27 +491,53 @@ std::vector<TickResult> RunToCompletion(StreamRuntime* runtime,
 
 TEST(StreamRuntimeTest, MatchesSequentialSessionsBitForBit) {
   // Archive a small mixed database, replay it through the runtime, and
-  // compare every tick against sequential StreamingSession evaluation on
-  // the archive itself.
+  // compare every tick against sequential CreateQuerySession evaluation on
+  // the archive itself — one query per serving path, including the Safe
+  // plan and the sampler, whose sessions advance through their engines'
+  // single-step calls.
   EventDatabase archive;
   AddIndependentStream(&archive, "At", "Joe",
                        {{{"a", 0.7}, {"b", 0.2}},
                         {{"b", 0.6}, {"a", 0.3}},
                         {{"b", 0.5}},
                         {{"a", 0.9}}});
+  // The Safe plan's witness subgoal reads independent streams only.
+  AddIndependentStream(&archive, "Door", "d1",
+                       {{{"in", 0.4}, {"out", 0.5}},
+                        {{"in", 0.2}},
+                        {{"out", 0.8}, {"in", 0.1}},
+                        {{"out", 0.3}, {"in", 0.6}}});
   AddMarkovStream(&archive, "At", "Sue", {"a", "b"}, 4, 0.85);
-  const std::vector<std::string> queries = {
-      "At('Joe', l : l = 'a')",
-      "At('Sue', l1 : l1 = 'a'); At('Sue', l2 : l2 = 'b')",
-      "At(x, l : l = 'b')",  // Extended Regular: one chain per tag
+  struct Case {
+    std::string text;
+    EngineKind engine;
   };
+  const std::vector<Case> queries = {
+      {"At('Joe', l : l = 'a')", EngineKind::kRegular},
+      {"At('Sue', l1 : l1 = 'a'); At('Sue', l2 : l2 = 'b')",
+       EngineKind::kRegular},
+      {"At(x, l : l = 'b')", EngineKind::kRegular},  // one chain per tag
+      {"At(x, l1 : l1 = 'a'); At(x, l2 : l2 = 'b')",
+       EngineKind::kExtendedRegular},
+      {"At(p, l1); At(p, l2); Door(q, l3)", EngineKind::kSafePlan},
+      {"(At(x, l1); At(y, l2)) WHERE l1 = l2", EngineKind::kSampling},
+  };
+  // The session options of WindowWidthIsObservationallyEquivalent.
+  LaharOptions session_options;
+  session_options.plan.assume_distinct_keys = true;  // for the Safe plan
+  session_options.sampling.num_samples = 64;
+  session_options.sampling.seed = 2008;
 
   std::vector<std::vector<double>> expected(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto session = StreamingSession::Create(&archive, queries[i]);
+    auto prepared = PrepareQuery(queries[i].text, &archive);
+    ASSERT_OK(prepared.status());
+    auto session = CreateQuerySession(&archive, *prepared, session_options);
     ASSERT_OK(session.status());
+    EXPECT_EQ((*session)->engine_kind(), queries[i].engine)
+        << queries[i].text;
     for (Timestamp t = 1; t <= archive.horizon(); ++t) {
-      auto p = session->Advance();
+      auto p = (*session)->Advance();
       ASSERT_OK(p.status());
       expected[i].push_back(*p);
     }
@@ -523,10 +551,11 @@ TEST(StreamRuntimeTest, MatchesSequentialSessionsBitForBit) {
     RuntimeOptions options;
     options.num_threads = threads;
     options.queue_capacity = 2;  // exercise blocking Push
+    options.session = session_options;
     StreamRuntime runtime(clone->get(), options);
     std::vector<QueryId> ids;
-    for (const std::string& q : queries) {
-      auto id = runtime.Register(q);
+    for (const Case& q : queries) {
+      auto id = runtime.Register(q.text);
       ASSERT_OK(id.status());
       ids.push_back(*id);
     }
@@ -539,7 +568,7 @@ TEST(StreamRuntimeTest, MatchesSequentialSessionsBitForBit) {
         const double* p = results[t].Find(ids[i]);
         ASSERT_NE(p, nullptr);
         EXPECT_EQ(*p, expected[i][t])
-            << queries[i] << " at t=" << t + 1 << ", " << threads
+            << queries[i].text << " at t=" << t + 1 << ", " << threads
             << " threads";
       }
     }
@@ -628,16 +657,10 @@ TEST(StreamRuntimeTest, StatsCountTicksQueriesAndQueue) {
   uint64_t chains = 0;
   for (const ShardStats& s : stats.shards) chains += s.chains_stepped;
   EXPECT_EQ(chains, 3u);  // 1 chain x 3 ticks
-  // The plan here was built once from static estimates (registry-version
-  // rebuild); drift counters only accrue on measured rebuilds, and whole-
-  // session steals are counted separately from split-group placements.
-  EXPECT_EQ(stats.rebalances, 0u);
-  EXPECT_EQ(stats.steals, 0u);
-  EXPECT_EQ(stats.split_placements, 0u);
   // Both serializations render without blowing up.
   EXPECT_NE(stats.ToString().find("ticks"), std::string::npos);
   EXPECT_NE(stats.ToJson().find("\"tick\""), std::string::npos);
-  EXPECT_NE(stats.ToJson().find("\"split_placements\""), std::string::npos);
+  EXPECT_NE(stats.ToJson().find("\"plan_rebuilds\""), std::string::npos);
 }
 
 TEST(StreamRuntimeTest, SimdUnitsAreReportedInStats) {
@@ -803,8 +826,8 @@ TEST(StreamRuntimeTest, WaitForTickWakesPromptlyOnStop) {
 // 1-tick cap (pure tick-at-a-time, the pre-windowing behavior) must
 // publish bit-identical TickResult sequences and byte-identical
 // checkpoints. One query per class — Regular, Extended Regular, Safe
-// plan, and Unsafe-via-sampling (whose many-sample session is heavy
-// enough to be split across shards, exercising the shared-group path).
+// plan, and Unsafe-via-sampling (whose many-sample session is the heaviest
+// and lands alone on one worker while the others share the rest).
 TEST(StreamRuntimeTest, WindowWidthIsObservationallyEquivalent) {
   constexpr Timestamp kWinHorizon = 24;
   EventDatabase archive;
