@@ -1,8 +1,7 @@
 // Kernel speedup experiment: ticks/sec of the Extended Regular hot path
-// under its three execution modes —
+// under its two execution modes —
 //
 //   map    — the dynamic hash-map path (the pre-kernel implementation),
-//   kernel — compiled transition kernels, each chain owning its state,
 //   soa    — compiled kernels with all chains' state packed into the
 //            engine's contiguous SoA arena (the default configuration).
 //
@@ -41,10 +40,8 @@ struct BenchConfig {
 std::vector<BenchConfig> Configs() {
   BenchConfig map{"map", {}};
   map.options.kernel.max_flat_states = 0;
-  BenchConfig kernel{"kernel", {}};
-  kernel.options.soa_arena = false;
   BenchConfig soa{"soa", {}};
-  return {map, kernel, soa};
+  return {map, soa};
 }
 
 struct CellResult {
@@ -338,7 +335,7 @@ int main(int argc, char** argv) {
   rc |= RunWorkload(*scenario, StreamKind::kSmoothed, "markov", min_ms);
   rc |= RunWorkload(*scenario, StreamKind::kFiltered, "independent", min_ms);
   rc |= RunWideWorkload(smoke ? 48 : 256, horizon, min_ms);
-  std::printf("\n(map/kernel/soa are bit-identical; see "
+  std::printf("\n(map/soa are bit-identical; see "
               "tests/kernel_equivalence_test.cc)\n");
   return rc;
 }

@@ -121,7 +121,7 @@ struct CellResult {
   double time_ms = 0;
   double early_tick_us = 0;  // mean over ticks 901..1000
   double late_tick_us = 0;   // mean over the last 100 ticks
-  SafeMemoStats memo;
+  SessionCounters memo;
   std::vector<double> probs;  // per tick (bitwise cross-check)
 };
 
@@ -165,7 +165,7 @@ CellResult RunCell(bool incremental, Timestamp horizon) {
   const double early_n = static_cast<double>(early_end - early_begin);
   result.early_tick_us = static_cast<double>(early_ns) / early_n / 1000.0;
   result.late_tick_us = static_cast<double>(late_ns) / 100.0 / 1000.0;
-  result.memo = q.MemoStats();
+  result.memo = q.Counters();
   result.ok = true;
   return result;
 }

@@ -94,57 +94,55 @@ Result<ExtendedRegularEngine> ExtendedRegularEngine::Create(
     engine.spilled_.resize(engine.chains_.size());
     engine.chain_options_ = opts;
   }
-  if (options.soa_arena) {
-    size_t total = 0;
-    for (const auto& c : engine.chains_) {
-      if (c != nullptr) total += 2 * c->FlatStride();
-    }
-    if (total > 0) {
-      const size_t n = engine.chains_.size();
-      engine.arena_.assign(total, 0.0);
-      engine.stripe_width_.assign(n, 1);
-      double* base = engine.arena_.data();
-      // Pack consecutive runs of same-kernel SIMD chains into
-      // lane-interleaved stripes of exactly simd::kLanes (flat index i of
-      // lane j at block[i * kLanes + j]) so StepStripe advances all lanes
-      // with one wide pass; leftovers and everything else get the plain
-      // contiguous cur|nxt layout. Stubs have no flat state and are skipped.
-      constexpr size_t kLanes = simd::kLanes;
-      size_t i = 0;
-      while (i < n) {
-        if (engine.chains_[i] == nullptr) {  // stub: no flat state
-          ++i;
-          continue;
+  size_t total = 0;
+  for (const auto& c : engine.chains_) {
+    if (c != nullptr) total += 2 * c->FlatStride();
+  }
+  if (total > 0) {
+    const size_t n = engine.chains_.size();
+    engine.arena_.assign(total, 0.0);
+    engine.stripe_width_.assign(n, 1);
+    double* base = engine.arena_.data();
+    // Pack consecutive runs of same-kernel SIMD chains into
+    // lane-interleaved stripes of exactly simd::kLanes (flat index i of
+    // lane j at block[i * kLanes + j]) so StepStripe advances all lanes
+    // with one wide pass; leftovers and everything else get the plain
+    // contiguous cur|nxt layout. Stubs have no flat state and are skipped.
+    constexpr size_t kLanes = simd::kLanes;
+    size_t i = 0;
+    while (i < n) {
+      if (engine.chains_[i] == nullptr) {  // stub: no flat state
+        ++i;
+        continue;
+      }
+      RegularChain& c = *engine.chains_[i];
+      const size_t stride = c.FlatStride();
+      if (stride == 0) {
+        ++i;
+        continue;
+      }
+      size_t run = 1;
+      if (c.simd()) {
+        while (i + run < n && engine.chains_[i + run] != nullptr &&
+               engine.chains_[i + run]->simd() &&
+               engine.chains_[i + run]->row_class() == c.row_class() &&
+               engine.chains_[i + run]->FlatStride() == stride) {
+          ++run;
         }
-        RegularChain& c = *engine.chains_[i];
-        const size_t stride = c.FlatStride();
-        if (stride == 0) {
-          ++i;
-          continue;
+      }
+      while (run >= kLanes) {
+        for (size_t j = 0; j < kLanes; ++j) {
+          engine.chains_[i + j]->BindArena(
+              base + j, base + stride * kLanes + j, kLanes);
+          engine.stripe_width_[i + j] = j == 0 ? kLanes : 0;
         }
-        size_t run = 1;
-        if (c.simd()) {
-          while (i + run < n && engine.chains_[i + run] != nullptr &&
-                 engine.chains_[i + run]->simd() &&
-                 engine.chains_[i + run]->row_class() == c.row_class() &&
-                 engine.chains_[i + run]->FlatStride() == stride) {
-            ++run;
-          }
-        }
-        while (run >= kLanes) {
-          for (size_t j = 0; j < kLanes; ++j) {
-            engine.chains_[i + j]->BindArena(
-                base + j, base + stride * kLanes + j, kLanes);
-            engine.stripe_width_[i + j] = j == 0 ? kLanes : 0;
-          }
-          base += 2 * stride * kLanes;
-          i += kLanes;
-          run -= kLanes;
-        }
-        for (; run > 0; --run, ++i) {
-          engine.chains_[i]->BindArena(base, base + stride);
-          base += 2 * stride;
-        }
+        base += 2 * stride * kLanes;
+        i += kLanes;
+        run -= kLanes;
+      }
+      for (; run > 0; --run, ++i) {
+        engine.chains_[i]->BindArena(base, base + stride);
+        base += 2 * stride;
       }
     }
   }

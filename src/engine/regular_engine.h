@@ -52,10 +52,6 @@ struct ChainOptions {
   /// Engines fall back to a local cache when null; kernels are held by
   /// shared_ptr, so the cache may outlive or die before the chains.
   KernelCache* kernel_cache = nullptr;
-  /// Extended engine only: pack the compiled chains' state vectors into one
-  /// contiguous SoA arena (see ExtendedRegularEngine).
-  bool soa_arena = true;
-
   /// Step-path selection for compiled chains.
   KernelStepMode step_mode = KernelStepMode::kAuto;
   /// kAuto/kSimd ceiling on the joint hidden space: dense rows cost R*R

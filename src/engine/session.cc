@@ -59,7 +59,11 @@ class SafeQuerySession : public QuerySession {
   size_t num_units() const override { return engine_.num_groundings(); }
   size_t StepCost() const override { return engine_.StepCost(); }
 
-  SafeMemoStats MemoStats() const override { return engine_.MemoStats(); }
+  SessionCounters Counters() const override {
+    SessionCounters c = QuerySession::Counters();
+    static_cast<SafeMemoStats&>(c) = engine_.MemoStats();
+    return c;
+  }
 
   bool SupportsStateRestore() const override { return true; }
 

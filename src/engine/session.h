@@ -29,6 +29,7 @@
 
 #include "analysis/prepared.h"
 #include "common/serial.h"
+#include "engine/counters.h"
 #include "engine/lahar.h"
 #include "engine/regular_engine.h"
 #include "engine/safe_engine.h"
@@ -89,20 +90,6 @@ class SharedSubChain {
   uint64_t steps_ = 0;
 };
 
-/// \brief Chain-lifecycle residency snapshot of one session (docs/PERF.md
-/// "Chain lifecycle"). Sessions without the lifecycle layer report every
-/// unit as resident; counters are lifetime totals.
-struct SessionResidency {
-  size_t bytes_resident = 0;  ///< engine memory footprint in bytes
-  size_t registered_units = 0;
-  size_t resident_units = 0;
-  size_t stub_units = 0;
-  size_t spilled_units = 0;
-  uint64_t promotions = 0;
-  uint64_t spills = 0;
-  uint64_t rehydrations = 0;
-};
-
 /// \brief Incremental evaluation session for one standing query.
 class QuerySession {
  public:
@@ -125,12 +112,15 @@ class QuerySession {
   /// workers by it (longest processing time first).
   virtual size_t StepCost() const = 0;
 
-  /// Residency and memory snapshot of this session's units (stats).
-  virtual SessionResidency Residency() const {
-    SessionResidency r;
-    r.registered_units = num_units();
-    r.resident_units = r.registered_units;
-    return r;
+  /// Counters of this session's units (stats): memory and chain
+  /// lifecycle, safe-path memo, sharing and SIMD stripes, in one struct
+  /// that RuntimeStats reports per query and sums across queries. Sessions
+  /// without those layers keep this default: every unit resident, all
+  /// other counters zero.
+  virtual SessionCounters Counters() const {
+    SessionCounters c;
+    c.resident_units = num_units();
+    return c;
   }
 
   QueryClass query_class() const { return query_class_; }
@@ -160,10 +150,6 @@ class QuerySession {
     (void)r;
     return Status::Unimplemented("session does not serialize state");
   }
-
-  /// Safe-path memo/row-cache counters (zeroes for the other classes);
-  /// surfaced in RuntimeStats so bounded-memory serving is observable.
-  virtual SafeMemoStats MemoStats() const { return {}; }
 
   // --- Cross-session sharing hooks (docs/SHARING.md) ----------------------
   // The registry's sharing pool groups sessions whose units carry equal
@@ -200,21 +186,6 @@ class QuerySession {
     (void)unit;
     return false;
   }
-
-  /// Units currently delegated to shared sub-chains (stats).
-  virtual size_t NumDelegatedUnits() const { return 0; }
-
-  /// Units stepping on the vectorized SoA kernel path (stats; zero for
-  /// sessions without a chain arena).
-  virtual size_t NumSimdUnits() const { return 0; }
-
-  /// Whole-stripe steps taken / stripes demoted to per-unit steps since
-  /// creation (stats; zero for sessions without lane-interleaved stripes).
-  /// Fallbacks are data-dependent and scheduler-independent: the executor
-  /// steps every session whole, so placement changes must not grow this
-  /// counter (asserted by tests/chain_lifecycle_test.cc).
-  virtual uint64_t StripeSteps() const { return 0; }
-  virtual uint64_t StripeFallbacks() const { return 0; }
 
  protected:
   QuerySession(QueryClass query_class, EngineKind engine_kind, bool exact)

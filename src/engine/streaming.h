@@ -63,18 +63,21 @@ class StreamingSession : public QuerySession {
   /// Summed per-chain costs (ExtendedRegularEngine::ChainCost).
   size_t StepCost() const override;
 
-  /// Residency and memory accounting (chain lifecycle; docs/PERF.md).
-  SessionResidency Residency() const override {
-    SessionResidency r;
-    r.bytes_resident = engine_.Footprint().bytes();
-    r.registered_units = engine_.num_chains();
-    r.resident_units = engine_.num_resident();
-    r.stub_units = engine_.num_stub();
-    r.spilled_units = engine_.num_spilled();
-    r.promotions = engine_.promotions();
-    r.spills = engine_.spills();
-    r.rehydrations = engine_.rehydrations();
-    return r;
+  /// Lifecycle, sharing and SIMD counters of the engine's chains.
+  SessionCounters Counters() const override {
+    SessionCounters c;
+    c.bytes_resident = engine_.Footprint().bytes();
+    c.resident_units = engine_.num_resident();
+    c.stub_units = engine_.num_stub();
+    c.spilled_units = engine_.num_spilled();
+    c.promotions = engine_.promotions();
+    c.spills = engine_.spills();
+    c.rehydrations = engine_.rehydrations();
+    c.shared_units = engine_.num_delegated();
+    c.simd_units = engine_.num_simd();
+    c.stripe_steps = engine_.stripe_steps();
+    c.stripe_fallbacks = engine_.stripe_fallbacks();
+    return c;
   }
 
   /// Streaming state is O(chains), so checkpoints serialize it directly
@@ -90,13 +93,6 @@ class StreamingSession : public QuerySession {
 
   /// Number of per-grounding chains (alias of num_units for diagnostics).
   size_t num_chains() const { return engine_.num_chains(); }
-
-  /// Chains stepping on the vectorized SoA kernel path (docs/PERF.md).
-  size_t NumSimdUnits() const override { return engine_.num_simd(); }
-  uint64_t StripeSteps() const override { return engine_.stripe_steps(); }
-  uint64_t StripeFallbacks() const override {
-    return engine_.stripe_fallbacks();
-  }
 
   /// The underlying engine (diagnostics: per-chain probabilities and
   /// bindings).
@@ -116,9 +112,6 @@ class StreamingSession : public QuerySession {
       size_t i, size_t frontier_history) const override;
   bool DelegateUnit(size_t i,
                     const std::shared_ptr<SharedSubChain>& unit) override;
-  size_t NumDelegatedUnits() const override {
-    return engine_.num_delegated();
-  }
 
  private:
   StreamingSession(ExtendedRegularEngine engine, QueryClass query_class)

@@ -204,6 +204,8 @@ RuntimeStats StreamRuntime::Stats() const {
     size_t class_counts[4] = {0, 0, 0, 0};
     for (const auto& q : registry_.queries()) {
       QueryStats qs;
+      static_cast<SessionCounters&>(qs) = q->session->Counters();
+      out += qs;
       qs.id = q->id;
       qs.text = q->text;
       qs.query_class = QueryClassName(q->query_class);
@@ -214,42 +216,8 @@ RuntimeStats StreamRuntime::Stats() const {
       qs.errors = q->errors;
       qs.last_error = q->last_error.ok() ? "" : q->last_error.ToString();
       qs.advance = q->advance_latency.Summarize();
-      SafeMemoStats ms = q->session->MemoStats();
-      qs.memo_entries = ms.memo_entries;
-      qs.memo_hits = ms.memo_hits;
-      qs.memo_misses = ms.memo_misses;
-      qs.memo_evictions = ms.memo_evictions;
-      qs.rows_live = ms.rows_live;
-      qs.row_evictions = ms.row_evictions;
-      qs.row_rebuilds = ms.row_rebuilds;
       qs.kernel_hits = q->kernel_hits;
       qs.kernel_misses = q->kernel_misses;
-      qs.shared_units = q->session->NumDelegatedUnits();
-      qs.simd_units = q->session->NumSimdUnits();
-      qs.stripe_steps = q->session->StripeSteps();
-      qs.stripe_fallbacks = q->session->StripeFallbacks();
-      out.simd_units += qs.simd_units;
-      out.stripe_steps += qs.stripe_steps;
-      out.stripe_fallbacks += qs.stripe_fallbacks;
-      SessionResidency res = q->session->Residency();
-      qs.bytes_resident = res.bytes_resident;
-      qs.resident_units = res.resident_units;
-      qs.stub_units = res.stub_units;
-      qs.spilled_units = res.spilled_units;
-      qs.promotions = res.promotions;
-      qs.spills = res.spills;
-      qs.rehydrations = res.rehydrations;
-      out.bytes_resident += res.bytes_resident;
-      out.resident_units += res.resident_units;
-      out.stub_units += res.stub_units;
-      out.spilled_units += res.spilled_units;
-      out.promotions += res.promotions;
-      out.spills += res.spills;
-      out.rehydrations += res.rehydrations;
-      out.safe_memo_entries += ms.memo_entries;
-      out.safe_memo_evictions += ms.memo_evictions;
-      out.safe_rows_live += ms.rows_live;
-      out.safe_row_evictions += ms.row_evictions;
       out.queries.push_back(std::move(qs));
       ++class_counts[static_cast<size_t>(q->query_class)];
     }

@@ -1,7 +1,10 @@
 // Counters for the multi-query streaming runtime: per-query and per-shard
 // advance latency, ticks processed, queue depth, and drops. Everything is a
 // plain struct so benches and the CLI can print or serialize them without
-// pulling in the runtime itself.
+// pulling in the runtime itself. Each struct lists its fields once in a
+// static Fields(f) (see engine/counters.h); ToString and ToJson walk those
+// lists, so the text dump, the JSON object and the net kStats reply carry
+// the same fields under the same keys.
 #ifndef LAHAR_RUNTIME_STATS_H_
 #define LAHAR_RUNTIME_STATS_H_
 
@@ -12,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/counters.h"
 #include "model/value.h"
 
 namespace lahar {
@@ -31,6 +35,16 @@ struct LatencySummary {
   double p50_us = 0;
   double p99_us = 0;
   double max_us = 0;
+
+  template <typename F>
+  static void Fields(F&& f) {
+    f("count", &LatencySummary::count);
+    f("min_us", &LatencySummary::min_us);
+    f("mean_us", &LatencySummary::mean_us);
+    f("p50_us", &LatencySummary::p50_us);
+    f("p99_us", &LatencySummary::p99_us);
+    f("max_us", &LatencySummary::max_us);
+  }
 };
 
 /// \brief Cheap fixed-size latency histogram (no allocation on record).
@@ -49,12 +63,14 @@ class LatencyRecorder {
   double sum_ns_ = 0;
 };
 
-/// \brief Per-query counters, snapshot at Stats() time.
-struct QueryStats {
+/// \brief Per-query counters, snapshot at Stats() time. The
+/// SessionCounters base is the session's own report
+/// (QuerySession::Counters).
+struct QueryStats : SessionCounters {
   QueryId id = 0;
   std::string text;
-  /// Query class and serving engine names (strings so this header stays
-  /// free of analysis/engine includes).
+  /// Query class and serving engine names (strings, so this header needs
+  /// no analysis or engine types).
   std::string query_class;
   std::string engine;
   /// False when the session serves (epsilon, delta) sampling estimates.
@@ -67,44 +83,28 @@ struct QueryStats {
   std::string last_error;   ///< empty when the last advance succeeded
   /// Wall time spent advancing this query per tick.
   LatencySummary advance;
-  /// Safe-path cache counters (zero for the other classes): live interval
-  /// memo entries / reg rows and the eviction activity that keeps them
-  /// bounded (see engine/safe_engine.h).
-  size_t memo_entries = 0;
-  uint64_t memo_hits = 0;
-  uint64_t memo_misses = 0;
-  uint64_t memo_evictions = 0;
-  size_t rows_live = 0;
-  uint64_t row_evictions = 0;
-  uint64_t row_rebuilds = 0;
   /// Kernel-cache lookups attributable to building this query's session
   /// (hits mean a structurally equal kernel compiled earlier — by this
   /// query or any other — was reused; see docs/SHARING.md).
   uint64_t kernel_hits = 0;
   uint64_t kernel_misses = 0;
-  /// Units of this query currently delegated to cross-query shared
-  /// sub-chains (stepped once per tick for all their readers).
-  size_t shared_units = 0;
-  /// Units of this query stepping on the vectorized SoA kernel path
-  /// (docs/PERF.md).
-  size_t simd_units = 0;
-  /// Whole-stripe steps taken / stripes demoted to per-unit steps.
-  /// Fallbacks are data-dependent: the executor steps every session whole,
-  /// so placement changes must not grow them.
-  uint64_t stripe_steps = 0;
-  uint64_t stripe_fallbacks = 0;
-  // --- chain lifecycle (docs/PERF.md "Chain lifecycle") -------------------
-  /// Session memory footprint in bytes (resident chains + stubs + spill
-  /// arena). num_chains counts *registered* units; resident + stub +
-  /// spilled partitions them for lifecycle sessions (all resident
-  /// otherwise).
-  size_t bytes_resident = 0;
-  size_t resident_units = 0;  ///< units holding a materialized chain
-  size_t stub_units = 0;      ///< lazy stubs never promoted (~16 B each)
-  size_t spilled_units = 0;   ///< cold chains in the spill arena
-  uint64_t promotions = 0;    ///< stub -> resident transitions
-  uint64_t spills = 0;        ///< resident -> spilled/stub transitions
-  uint64_t rehydrations = 0;  ///< spilled -> resident transitions
+
+  template <typename F>
+  static void Fields(F&& f) {
+    f("id", &QueryStats::id);
+    f("class", &QueryStats::query_class);
+    f("engine", &QueryStats::engine);
+    f("exact", &QueryStats::exact);
+    f("units", &QueryStats::num_chains);
+    f("ticks", &QueryStats::ticks);
+    f("errors", &QueryStats::errors);
+    f("kernel_hits", &QueryStats::kernel_hits);
+    f("kernel_misses", &QueryStats::kernel_misses);
+    SessionCounters::Fields(f);
+    f("advance", &QueryStats::advance);
+    f("text", &QueryStats::text);
+    f("last_error", &QueryStats::last_error);
+  }
 };
 
 /// \brief Per-shard counters, snapshot at Stats() time.
@@ -114,18 +114,33 @@ struct ShardStats {
   uint64_t chains_stepped = 0;
   /// Wall time the shard spent on its work items per tick.
   LatencySummary tick;
+
+  template <typename F>
+  static void Fields(F&& f) {
+    f("shard", &ShardStats::shard);
+    f("ticks", &ShardStats::ticks);
+    f("chains_stepped", &ShardStats::chains_stepped);
+    f("tick", &ShardStats::tick);
+  }
 };
 
-/// \brief Per-tenant admission-control counters (see net/server.h).
+/// \brief Per-tenant admission-control counters (see net/server.h). The
+/// tenant name keys the entry, so it is not in the field list.
 struct NetTenantStats {
   std::string tenant;
   uint64_t ingest_frames = 0;   ///< ingest frames accepted into the queue
   uint64_t quota_rejected = 0;  ///< ingest frames shed by the token bucket
+
+  template <typename F>
+  static void Fields(F&& f) {
+    f("ingest", &NetTenantStats::ingest_frames);
+    f("quota_rejected", &NetTenantStats::quota_rejected);
+  }
 };
 
 /// \brief Counters for the TCP serving front-end (net/server.h), merged
 /// into RuntimeStats by Server::Stats(). All zero when no server is
-/// attached, in which case ToString omits the net section.
+/// attached.
 struct NetStats {
   size_t connections = 0;          ///< currently open
   uint64_t total_connections = 0;  ///< accepted since Start
@@ -139,10 +154,28 @@ struct NetStats {
   uint64_t slow_disconnects = 0;  ///< connections dropped at the outbound cap
   size_t subscriptions = 0;       ///< live (connection, query) subscriptions
   std::vector<NetTenantStats> tenants;  ///< sorted by tenant name
+
+  template <typename F>
+  static void Fields(F&& f) {
+    f("connections", &NetStats::connections);
+    f("total_connections", &NetStats::total_connections);
+    f("subscriptions", &NetStats::subscriptions);
+    f("frames_in", &NetStats::frames_in);
+    f("frames_out", &NetStats::frames_out);
+    f("bytes_in", &NetStats::bytes_in);
+    f("bytes_out", &NetStats::bytes_out);
+    f("protocol_errors", &NetStats::protocol_errors);
+    f("quota_rejected", &NetStats::quota_rejected);
+    f("backpressure_rejected", &NetStats::backpressure_rejected);
+    f("slow_disconnects", &NetStats::slow_disconnects);
+    f("tenants", &NetStats::tenants);
+  }
 };
 
-/// \brief Full runtime snapshot.
-struct RuntimeStats {
+/// \brief Full runtime snapshot. The SessionCounters base holds the
+/// field-wise sum of every query's counters (total_chains counts
+/// registered units, and resident + stub + spilled partitions them).
+struct RuntimeStats : SessionCounters {
   Timestamp tick = 0;            ///< last completed tick
   uint64_t ticks_processed = 0;  ///< ticks executed since Start
   size_t num_queries = 0;
@@ -167,12 +200,6 @@ struct RuntimeStats {
   /// summary) in class order — makes a regression in one class observable
   /// even when the mixed tick latency hides it.
   std::vector<std::pair<std::string, LatencySummary>> class_latency;
-  /// Safe-path cache totals across every safe session (bounded-memory
-  /// serving observability; per-query breakdown in QueryStats).
-  size_t safe_memo_entries = 0;
-  uint64_t safe_memo_evictions = 0;
-  size_t safe_rows_live = 0;
-  uint64_t safe_row_evictions = 0;
   // --- cross-query sharing counters (docs/SHARING.md) ---------------------
   /// Materialized sharing groups: sub-chain units stepped once per tick
   /// and read by >= 2 sessions.
@@ -193,21 +220,6 @@ struct RuntimeStats {
   uint64_t kernel_cache_hits = 0;
   uint64_t kernel_cache_misses = 0;
   size_t kernel_cache_entries = 0;
-  /// Chains stepping on the vectorized SoA kernel path across all queries
-  /// (docs/PERF.md), with their whole-stripe steps and per-unit demotions.
-  size_t simd_units = 0;
-  uint64_t stripe_steps = 0;
-  uint64_t stripe_fallbacks = 0;
-  // --- chain lifecycle totals (docs/PERF.md "Chain lifecycle") ------------
-  /// Summed session footprints; total_chains counts registered units, and
-  /// resident + stub + spilled partitions them.
-  size_t bytes_resident = 0;
-  size_t resident_units = 0;
-  size_t stub_units = 0;
-  size_t spilled_units = 0;
-  uint64_t promotions = 0;
-  uint64_t spills = 0;
-  uint64_t rehydrations = 0;
   /// End-to-end per-tick wall time. Under windowed execution each tick of
   /// a window records the window's wall time divided by its width, so the
   /// count still equals ticks_processed and the mean is the true
@@ -234,11 +246,55 @@ struct RuntimeStats {
   std::vector<QueryStats> queries;
   std::vector<ShardStats> shards;
 
-  /// Multi-line human-readable table.
+  template <typename F>
+  static void Fields(F&& f) {
+    f("tick", &RuntimeStats::tick);
+    f("ticks_processed", &RuntimeStats::ticks_processed);
+    f("queries", &RuntimeStats::num_queries);
+    f("chains", &RuntimeStats::total_chains);
+    f("threads", &RuntimeStats::num_threads);
+    f("queue_depth", &RuntimeStats::queue_depth);
+    f("queue_capacity", &RuntimeStats::queue_capacity);
+    f("queue_dropped", &RuntimeStats::queue_dropped);
+    f("queue_closed_rejected", &RuntimeStats::queue_closed_rejected);
+    f("batches_applied", &RuntimeStats::batches_applied);
+    f("batches_rejected", &RuntimeStats::batches_rejected);
+    f("last_ingest_error", &RuntimeStats::last_ingest_error);
+    f("reorder_depth", &RuntimeStats::reorder_depth);
+    f("reorder_window", &RuntimeStats::reorder_window);
+    f("reorder_late_dropped", &RuntimeStats::reorder_late_dropped);
+    f("reorder_merged", &RuntimeStats::reorder_merged);
+    f("windows_executed", &RuntimeStats::windows_executed);
+    f("max_window_ticks", &RuntimeStats::max_window_ticks);
+    f("plan_rebuilds", &RuntimeStats::plan_rebuilds);
+    f("window_size_hist", &RuntimeStats::window_size_hist);
+    f("barrier_wait", &RuntimeStats::barrier_wait);
+    f("classes", &RuntimeStats::class_counts);
+    SessionCounters::Fields(f);
+    f("sharing_groups", &RuntimeStats::sharing_groups);
+    f("shared_steps_executed", &RuntimeStats::shared_steps_executed);
+    f("shared_steps_saved", &RuntimeStats::shared_steps_saved);
+    f("prepared_dedup_hits", &RuntimeStats::prepared_dedup_hits);
+    f("kernel_cache_hits", &RuntimeStats::kernel_cache_hits);
+    f("kernel_cache_misses", &RuntimeStats::kernel_cache_misses);
+    f("kernel_cache_entries", &RuntimeStats::kernel_cache_entries);
+    f("sharing_fanout_hist", &RuntimeStats::sharing_fanout_hist);
+    f("class_latency", &RuntimeStats::class_latency);
+    f("net", &RuntimeStats::net);
+    f("query_stats", &RuntimeStats::queries);
+    f("shards", &RuntimeStats::shards);
+    f("tick_latency", &RuntimeStats::tick_latency);
+  }
+
+  /// Human-readable dump: one line per struct, `key=value` pairs under the
+  /// JSON key names, zero and empty values left out. Nested structs and
+  /// list entries (queries, shards, tenants, ...) follow on their own
+  /// indented lines.
   std::string ToString() const;
-  /// One JSON object (the shape bench_t04_runtime_scaling emits per cell).
-  /// All embedded strings — query text, error messages, tenant names — are
-  /// JSON-escaped, so a query containing `"` stays parseable.
+  /// One JSON object carrying every field, also the body of the net
+  /// kStats reply. All embedded strings — query text, error messages,
+  /// tenant names — are JSON-escaped, so a query containing `"` stays
+  /// parseable.
   std::string ToJson() const;
 };
 

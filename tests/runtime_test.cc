@@ -7,7 +7,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "analysis/prepared.h"
 #include "engine/session.h"
@@ -682,6 +685,235 @@ TEST(StreamRuntimeTest, SimdUnitsAreReportedInStats) {
   EXPECT_EQ(stats.queries[0].simd_units, 1u);
   EXPECT_EQ(stats.simd_units, 1u);
   EXPECT_NE(stats.ToJson().find("\"simd_units\":1"), std::string::npos);
+}
+
+// A RuntimeStats with every counter nonzero, one shard, a net section with
+// one tenant, and per-class lists.
+RuntimeStats FullyPopulatedStats() {
+  const LatencySummary lat{1, 1, 1, 1, 1, 1};
+  RuntimeStats s;
+  s.tick = 1;
+  s.ticks_processed = 2;
+  s.num_queries = 1;
+  s.total_chains = 3;
+  s.num_threads = 1;
+  s.queue_depth = 1;
+  s.queue_capacity = 2;
+  s.queue_dropped = 1;
+  s.queue_closed_rejected = 1;
+  s.batches_applied = 1;
+  s.batches_rejected = 1;
+  s.last_ingest_error = "e";
+  s.reorder_depth = 1;
+  s.reorder_window = 1;
+  s.reorder_late_dropped = 1;
+  s.reorder_merged = 1;
+  s.class_counts = {{"Regular", 1}};
+  s.class_latency = {{"Regular", lat}};
+  s.sharing_groups = 1;
+  s.shared_steps_executed = 1;
+  s.shared_steps_saved = 1;
+  s.sharing_fanout_hist = {1};
+  s.prepared_dedup_hits = 1;
+  s.kernel_cache_hits = 1;
+  s.kernel_cache_misses = 1;
+  s.kernel_cache_entries = 1;
+  s.tick_latency = lat;
+  s.windows_executed = 1;
+  s.max_window_ticks = 1;
+  s.window_size_hist = {1};
+  s.plan_rebuilds = 1;
+  s.barrier_wait = lat;
+  s.net.connections = 1;
+  s.net.total_connections = 1;
+  s.net.frames_in = 1;
+  s.net.frames_out = 1;
+  s.net.bytes_in = 1;
+  s.net.bytes_out = 1;
+  s.net.protocol_errors = 1;
+  s.net.quota_rejected = 1;
+  s.net.backpressure_rejected = 1;
+  s.net.slow_disconnects = 1;
+  s.net.subscriptions = 1;
+  s.net.tenants = {{"t", 1, 1}};
+  QueryStats q;
+  q.memo_entries = 1;
+  q.memo_hits = 1;
+  q.memo_misses = 1;
+  q.memo_evictions = 1;
+  q.rows_live = 1;
+  q.row_evictions = 1;
+  q.row_rebuilds = 1;
+  q.bytes_resident = 1;
+  q.resident_units = 1;
+  q.stub_units = 1;
+  q.spilled_units = 1;
+  q.promotions = 1;
+  q.spills = 1;
+  q.rehydrations = 1;
+  q.shared_units = 1;
+  q.simd_units = 1;
+  q.stripe_steps = 1;
+  q.stripe_fallbacks = 1;
+  static_cast<SessionCounters&>(s) = q;
+  q.id = 1;
+  q.text = "q";
+  q.query_class = "Regular";
+  q.engine = "e";
+  q.num_chains = 1;
+  q.ticks = 1;
+  q.errors = 1;
+  q.last_error = "x";
+  q.kernel_hits = 1;
+  q.kernel_misses = 1;
+  q.advance = lat;
+  s.queries = {q};
+  ShardStats shard;
+  shard.ticks = 1;
+  shard.chains_stepped = 1;
+  shard.tick = lat;
+  s.shards = {shard};
+  return s;
+}
+
+// Dotted paths of every object key in a JSON document; list entries add
+// "[]" ("query_stats.[].id").
+std::set<std::string> JsonKeyPaths(const std::string& json) {
+  std::set<std::string> paths;
+  std::vector<std::string> prefixes;  // child path prefix per open container
+  std::string key;  // path of the key whose value comes next
+  for (size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '"') {
+      std::string str;
+      for (++i; json[i] != '"'; ++i) {
+        if (json[i] == '\\') ++i;
+        str += json[i];
+      }
+      if (i + 1 < json.size() && json[i + 1] == ':') {
+        key = prefixes.back() + str;
+        paths.insert(key);
+      }
+    } else if (c == '{' || c == '[') {
+      std::string prefix = !key.empty()        ? key + "."
+                           : prefixes.empty() ? ""
+                                              : prefixes.back();
+      if (c == '[') prefix += "[].";
+      prefixes.push_back(prefix);
+      key.clear();
+    } else if (c == '}' || c == ']') {
+      prefixes.pop_back();
+    } else if (c == ',') {
+      key.clear();
+    }
+  }
+  return paths;
+}
+
+// Every key path the JSON rendering carried before the renderers walked
+// field lists, except that the four safe_* totals are now the summed
+// session counters (memo_entries, memo_evictions, rows_live,
+// row_evictions).
+TEST(RuntimeStatsTest, JsonKeepsEveryEarlierKey) {
+  const std::vector<std::string> kEarlierPaths = {
+      "tick", "ticks_processed", "queries", "chains", "threads",
+      "queue_depth", "queue_capacity", "queue_dropped",
+      "queue_closed_rejected", "batches_applied", "batches_rejected",
+      "reorder_depth", "reorder_window", "reorder_late_dropped",
+      "reorder_merged", "windows_executed", "max_window_ticks",
+      "plan_rebuilds", "window_size_hist", "barrier_wait",
+      "barrier_wait.count", "barrier_wait.min_us", "barrier_wait.mean_us",
+      "barrier_wait.p50_us", "barrier_wait.p99_us", "barrier_wait.max_us",
+      "classes", "classes.Regular", "memo_entries", "memo_evictions",
+      "rows_live", "row_evictions", "bytes_resident", "resident_units",
+      "stub_units", "spilled_units", "promotions", "spills", "rehydrations",
+      "sharing_groups", "shared_steps_executed", "shared_steps_saved",
+      "prepared_dedup_hits", "kernel_cache_hits", "kernel_cache_misses",
+      "kernel_cache_entries", "simd_units", "stripe_steps",
+      "stripe_fallbacks", "sharing_fanout_hist", "class_latency",
+      "class_latency.Regular", "class_latency.Regular.count",
+      "class_latency.Regular.min_us", "class_latency.Regular.mean_us",
+      "class_latency.Regular.p50_us", "class_latency.Regular.p99_us",
+      "class_latency.Regular.max_us", "net", "net.connections",
+      "net.total_connections", "net.subscriptions", "net.frames_in",
+      "net.frames_out", "net.bytes_in", "net.bytes_out",
+      "net.protocol_errors", "net.quota_rejected",
+      "net.backpressure_rejected", "net.slow_disconnects", "net.tenants",
+      "net.tenants.t", "net.tenants.t.ingest", "net.tenants.t.quota_rejected",
+      "query_stats", "query_stats.[].id", "query_stats.[].class",
+      "query_stats.[].engine", "query_stats.[].exact",
+      "query_stats.[].units", "query_stats.[].ticks",
+      "query_stats.[].errors", "query_stats.[].kernel_hits",
+      "query_stats.[].kernel_misses", "query_stats.[].shared_units",
+      "query_stats.[].simd_units", "query_stats.[].stripe_steps",
+      "query_stats.[].stripe_fallbacks", "query_stats.[].bytes_resident",
+      "query_stats.[].resident_units", "query_stats.[].stub_units",
+      "query_stats.[].spilled_units", "query_stats.[].promotions",
+      "query_stats.[].spills", "query_stats.[].rehydrations",
+      "query_stats.[].text", "query_stats.[].last_error", "tick_latency",
+      "tick_latency.count", "tick_latency.min_us", "tick_latency.mean_us",
+      "tick_latency.p50_us", "tick_latency.p99_us", "tick_latency.max_us"};
+  const std::string json = FullyPopulatedStats().ToJson();
+  const std::set<std::string> paths = JsonKeyPaths(json);
+  for (const std::string& path : kEarlierPaths) {
+    EXPECT_EQ(paths.count(path), 1u) << path << " missing from " << json;
+  }
+  // Fields the earlier rendering left out of JSON.
+  for (const char* path :
+       {"last_ingest_error", "shards", "shards.[].chains_stepped",
+        "query_stats.[].advance", "query_stats.[].memo_entries",
+        "query_stats.[].rows_live"}) {
+    EXPECT_EQ(paths.count(path), 1u) << path << " missing from " << json;
+  }
+  // Text uses the same keys, errors included.
+  const std::string text = FullyPopulatedStats().ToString();
+  EXPECT_NE(text.find(" errors=1"), std::string::npos) << text;
+  EXPECT_NE(text.find(" shared_steps_saved=1"), std::string::npos) << text;
+}
+
+// Strings are appended whole: a long tenant name (chosen by the client in
+// kHello), query error or ingest error must neither truncate the JSON nor
+// run two text lines together.
+TEST(RuntimeStatsTest, RenderersKeepLongStrings) {
+  const std::string tenant = std::string(300, 'a') + "\"" +
+                             std::string(299, 'b');
+  const std::string query_error(300, 'q');
+  const std::string ingest_error(300, 'i');
+  ASSERT_EQ(tenant.size(), 600u);
+  RuntimeStats s;
+  s.last_ingest_error = ingest_error;
+  s.net.connections = 1;
+  s.net.tenants = {{tenant, 1, 0}};
+  QueryStats q0;
+  q0.id = 1;
+  q0.last_error = query_error;
+  QueryStats q1;
+  q1.id = 2;
+  s.queries = {q0, q1};
+
+  const std::string json = s.ToJson();
+  EXPECT_NE(json.find("\"" + JsonEscape(tenant) + "\":{\"ingest\":"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"last_error\":\"" + query_error + "\"},{\"id\":2"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"last_ingest_error\":\"" + ingest_error +
+                      "\",\"reorder_depth\":"),
+            std::string::npos)
+      << json;
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(json.back(), '}');
+
+  const std::string text = s.ToString();
+  EXPECT_NE(text.find(JsonEscape(tenant)), std::string::npos) << text;
+  EXPECT_NE(text.find("last_error=\"" + query_error + "\"\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\n  query_stats[0]: id=1"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\n  query_stats[1]: id=2"), std::string::npos)
+      << text;
 }
 
 TEST(StreamRuntimeTest, MalformedBatchIsCountedNotFatal) {

@@ -377,7 +377,7 @@ TEST(SessionEquivalence, SafePlanLongHorizonTightCapsMatchesBatchBitwise) {
   }
   // The tiny caches really were exercised: the arena evicted and rebuilt
   // rows, and counters made it to the session surface.
-  SafeMemoStats ms = (*session)->MemoStats();
+  SessionCounters ms = (*session)->Counters();
   EXPECT_GT(ms.row_evictions, 0u);
   EXPECT_GT(ms.memo_evictions, 0u);
   EXPECT_LE(ms.memo_entries, 8u);  // the direct-mapped memo never outgrows
