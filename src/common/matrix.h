@@ -35,6 +35,10 @@ class Matrix {
   double* Row(size_t r) { return &data_[r * cols_]; }
   const double* Row(size_t r) const { return &data_[r * cols_]; }
 
+  /// All rows() * cols() entries, row-major.
+  double* data() { return data_.data(); }
+  const double* data() const { return data_.data(); }
+
   /// Normalizes each row to sum to 1; rows summing to 0 are left untouched.
   void NormalizeRows();
 

@@ -415,6 +415,10 @@ Status ExtendedRegularEngine::RestoreChainState(size_t i, serial::Reader* r,
   }
   uint64_t n;
   LAHAR_RETURN_NOT_OK(r->U64(&n));
+  // Same entry layout and bound as RegularChain::LoadState.
+  if (n > r->remaining() / (16 + 8 * slots)) {
+    return Status::InvalidArgument("chain snapshot entry count exceeds data");
+  }
   auto sp = std::make_unique<SpilledChain>();
   sp->track = track;
   sp->radices = std::move(radices);

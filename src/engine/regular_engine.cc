@@ -1081,6 +1081,11 @@ Status RegularChain::LoadState(serial::Reader* r) {
   }
   uint64_t num_entries;
   LAHAR_RETURN_NOT_OK(r->U64(&num_entries));
+  // An entry is a u64 mask, a u64 digit per slot and an f64; bound the
+  // untrusted count by the bytes left before it sizes the reserve.
+  if (num_entries > r->remaining() / (16 + 8 * num_slots)) {
+    return Status::InvalidArgument("chain snapshot entry count exceeds data");
+  }
   std::vector<std::pair<Key, double>> entries;
   entries.reserve(num_entries);
   bool any_accept_flag = false;

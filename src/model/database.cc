@@ -176,10 +176,19 @@ Result<std::unique_ptr<EventDatabase>> EventDatabase::LoadFrom(
     EventSchema schema;
     uint64_t arity;
     LAHAR_RETURN_NOT_OK(r->U32(&schema.type));
+    if (schema.type >= db->interner_->size()) {
+      return Status::InvalidArgument("schema type id out of range");
+    }
     LAHAR_RETURN_NOT_OK(r->U64(&arity));
+    if (arity > r->remaining() / 4) {  // a u32 per attribute name
+      return Status::InvalidArgument("schema arity exceeds snapshot");
+    }
     schema.attr_names.resize(arity);
     for (uint64_t a = 0; a < arity; ++a) {
       LAHAR_RETURN_NOT_OK(r->U32(&schema.attr_names[a]));
+      if (schema.attr_names[a] >= db->interner_->size()) {
+        return Status::InvalidArgument("schema attribute id out of range");
+      }
     }
     LAHAR_RETURN_NOT_OK(r->U64(&schema.num_key_attrs));
     LAHAR_RETURN_NOT_OK(db->DeclareSchema(std::move(schema)));
@@ -210,9 +219,21 @@ Result<std::unique_ptr<EventDatabase>> EventDatabase::LoadFrom(
   LAHAR_RETURN_NOT_OK(r->U64(&num_streams));
   for (uint64_t i = 0; i < num_streams; ++i) {
     LAHAR_ASSIGN_OR_RETURN(Stream s, Stream::LoadFrom(r));
+    // Checked here because AddStream's own error would name the type,
+    // which a corrupt snapshot need not have interned.
+    if (db->FindSchema(s.type()) == nullptr) {
+      return Status::InvalidArgument("stream of undeclared type in snapshot");
+    }
     LAHAR_RETURN_NOT_OK(db->AddStream(std::move(s)).status());
   }
-  LAHAR_RETURN_NOT_OK(r->U32(&db->horizon_));
+  // AddStream already raised horizon_ to the longest stream, which is all
+  // a saved horizon can be; anything else is corrupt (and would size
+  // per-tick tables far past the data).
+  Timestamp horizon;
+  LAHAR_RETURN_NOT_OK(r->U32(&horizon));
+  if (horizon != db->horizon_) {
+    return Status::InvalidArgument("database horizon does not match streams");
+  }
   return db;
 }
 

@@ -1,5 +1,6 @@
 #include "model/stream.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -310,6 +311,11 @@ void WriteValueTuple(const ValueTuple& t, serial::Writer* w) {
 Status ReadValueTuple(serial::Reader* r, ValueTuple* out) {
   uint64_t n;
   LAHAR_RETURN_NOT_OK(r->U64(&n));
+  // Each value takes 9 bytes (u8 kind + u64 payload); bound the untrusted
+  // count by what is left before it sizes the reserve.
+  if (n > r->remaining() / 9) {
+    return Status::InvalidArgument("value tuple length exceeds snapshot");
+  }
   out->clear();
   out->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -358,9 +364,7 @@ void Stream::SaveTo(serial::Writer* w) const {
   for (const Matrix& cpt : cpts_) {
     w->U64(cpt.rows());
     w->U64(cpt.cols());
-    for (size_t r = 0; r < cpt.rows(); ++r) {
-      for (size_t c = 0; c < cpt.cols(); ++c) w->F64(cpt.At(r, c));
-    }
+    w->F64s(cpt.data(), cpt.rows() * cpt.cols());  // row-major, as stored
   }
 }
 
@@ -375,6 +379,12 @@ Result<Stream> Stream::LoadFrom(serial::Reader* r) {
   LAHAR_RETURN_NOT_OK(r->U32(&horizon));
   LAHAR_RETURN_NOT_OK(r->U8(&markovian));
   LAHAR_RETURN_NOT_OK(r->U64(&domain_count));
+  // Every timestep carries at least its presence byte, so an untrusted
+  // horizon beyond the remaining bytes is corrupt — and must not size the
+  // per-tick vectors the constructor allocates.
+  if (horizon > r->remaining()) {
+    return Status::InvalidArgument("stream horizon exceeds snapshot");
+  }
   Stream s(type, std::move(key), num_value_attrs, horizon, markovian != 0);
   for (uint64_t d = 0; d < domain_count; ++d) {
     ValueTuple tuple;
@@ -389,21 +399,46 @@ Result<Stream> Stream::LoadFrom(serial::Reader* r) {
     LAHAR_RETURN_NOT_OK(r->U8(&present));
     if (present != 0) {
       LAHAR_RETURN_NOT_OK(r->DoubleVec(&s.marginals_[t]));
+      // Marginals never outgrow the domain (short ones predate growth);
+      // longer ones would index past it.
+      if (s.marginals_[t].size() > s.domain_.size()) {
+        return Status::InvalidArgument("marginal longer than stream domain");
+      }
     }
   }
   uint64_t num_cpts;
   LAHAR_RETURN_NOT_OK(r->U64(&num_cpts));
-  s.cpts_.resize(num_cpts);
+  // The constructor sized cpts_ as every writer keeps it: a slot per tick
+  // for a Markovian stream, none for an independent one. Any other count is
+  // corrupt, and checking it here also bounds the loop below.
+  if (num_cpts != s.cpts_.size()) {
+    return Status::InvalidArgument("CPT count does not match stream");
+  }
   for (uint64_t i = 0; i < num_cpts; ++i) {
     uint64_t rows, cols;
     LAHAR_RETURN_NOT_OK(r->U64(&rows));
     LAHAR_RETURN_NOT_OK(r->U64(&cols));
-    Matrix m(rows, cols);
-    for (uint64_t rr = 0; rr < rows; ++rr) {
-      for (uint64_t cc = 0; cc < cols; ++cc) {
-        LAHAR_RETURN_NOT_OK(r->F64(&m.At(rr, cc)));
-      }
+    // Slot 0 is an empty placeholder. Every real CPT is square over the
+    // domain as it stood when recorded: no larger than the domain now, and
+    // no smaller than the CPT before it (the domain only grows), the
+    // initial marginal, or 1x1 — the engines index each CPT by the previous
+    // step's domain index.
+    const size_t floor =
+        i == 0 ? 0
+               : std::max<size_t>(1, i == 1 ? s.marginals_[1].size()
+                                            : s.cpts_[i - 1].rows());
+    const bool well_formed =
+        i == 0 ? rows == 0 && cols == 0
+               : rows == cols && rows >= floor && rows <= s.domain_.size();
+    if (!well_formed) {
+      return Status::InvalidArgument("malformed CPT at t=" +
+                                     std::to_string(i));
     }
+    if (rows != 0 && cols > r->remaining() / sizeof(double) / rows) {
+      return Status::InvalidArgument("CPT dims exceed snapshot");
+    }
+    Matrix m(rows, cols);
+    LAHAR_RETURN_NOT_OK(r->F64s(m.data(), rows * cols));
     s.cpts_[i] = std::move(m);
   }
   // The digest cache is not part of the snapshot format; rebuild it.

@@ -111,10 +111,7 @@ void EncodeBatch(const TickBatch& batch, serial::Writer* w) {
     if (u.cpt.has_value()) {
       w->U32(static_cast<uint32_t>(u.cpt->rows()));
       w->U32(static_cast<uint32_t>(u.cpt->cols()));
-      for (size_t row = 0; row < u.cpt->rows(); ++row) {
-        const double* p = u.cpt->Row(row);
-        for (size_t c = 0; c < u.cpt->cols(); ++c) w->F64(p[c]);
-      }
+      w->F64s(u.cpt->data(), u.cpt->rows() * u.cpt->cols());
     }
   }
 }
@@ -152,12 +149,7 @@ Status DecodeBatch(serial::Reader* r, TickBatch* out) {
         return Status::InvalidArgument("CPT dims exceed frame size");
       }
       Matrix m(rows, cols, 0.0);
-      for (uint32_t row = 0; row < rows; ++row) {
-        double* p = m.Row(row);
-        for (uint32_t c = 0; c < cols; ++c) {
-          LAHAR_RETURN_NOT_OK(r->F64(&p[c]));
-        }
-      }
+      LAHAR_RETURN_NOT_OK(r->F64s(m.data(), cells));
       u.cpt = std::move(m);
     }
     out->updates.push_back(std::move(u));

@@ -1,5 +1,6 @@
 // StreamRuntime::Checkpoint / Restore. Kept out of executor.cc so the tick
 // loop stays focused; format documented in runtime/checkpoint.h.
+#include <cassert>
 #include <string>
 #include <vector>
 
@@ -29,35 +30,46 @@ Result<std::string> StreamRuntime::Checkpoint() const {
                               coordinator_.get_id() &&
                           callback_tick_ != tick_;
   const Timestamp snap_tick = mid_window ? callback_tick_ : tick_;
-  serial::Writer w;
-  w.U32(kCheckpointMagic);
-  w.U32(kCheckpointVersion);
-  LAHAR_RETURN_NOT_OK(db_->SaveTo(&w));
-  w.U32(snap_tick);
   std::vector<StreamId> ended;
   for (StreamId id = 0; id < db_->num_streams(); ++id) {
     if (watermark_.ended(id)) ended.push_back(id);
   }
-  w.U64(ended.size());
-  for (StreamId id : ended) w.U32(id);
-  w.U64(registry_.size());
-  for (const auto& q : registry_.queries()) {
-    w.U64(q->id);
-    w.Str(q->text);
-    if (!mid_window && q->session->SupportsStateRestore()) {
-      serial::Writer state;
-      LAHAR_RETURN_NOT_OK(q->session->SaveState(&state));
-      w.U8(1);
-      w.Str(state.str());
-    } else {
-      // Sampling sessions rebuild by replaying the database prefix on
-      // restore — the same bit-identical catch-up path hot registration
-      // uses (the sampler's determinism comes from its seed). Streaming
-      // and safe sessions serialize their state directly above.
-      w.U8(0);
+  // The layout, written once; run below first into a counting writer, then
+  // into a buffer reserved to exactly that size, so the snapshot is built
+  // in place with no regrowth and handed out without a copy.
+  auto write = [&](serial::Writer* w) -> Status {
+    w->U32(kCheckpointMagic);
+    w->U32(kCheckpointVersion);
+    LAHAR_RETURN_NOT_OK(db_->SaveTo(w));
+    w->U32(snap_tick);
+    w->U64(ended.size());
+    for (StreamId id : ended) w->U32(id);
+    w->U64(registry_.size());
+    for (const auto& q : registry_.queries()) {
+      w->U64(q->id);
+      w->Str(q->text);
+      if (!mid_window && q->session->SupportsStateRestore()) {
+        w->U8(1);
+        const size_t state_at = w->BeginStr();
+        LAHAR_RETURN_NOT_OK(q->session->SaveState(w));
+        w->EndStr(state_at);
+      } else {
+        // Sampling sessions rebuild by replaying the database prefix on
+        // restore — the same bit-identical catch-up path hot registration
+        // uses (the sampler's determinism comes from its seed). Streaming
+        // and safe sessions serialize their state directly above.
+        w->U8(0);
+      }
     }
-  }
-  return w.str();
+    return Status::OK();
+  };
+  serial::Writer counter = serial::Writer::Counting();
+  LAHAR_RETURN_NOT_OK(write(&counter));
+  serial::Writer w;
+  w.Reserve(counter.size());
+  LAHAR_RETURN_NOT_OK(write(&w));
+  assert(w.size() == counter.size());
+  return std::move(w).Take();
 }
 
 Status StreamRuntime::Restore(std::string_view snapshot) {
@@ -88,11 +100,21 @@ Status StreamRuntime::Restore(std::string_view snapshot) {
                          EventDatabase::LoadFrom(&r));
   uint32_t tick;
   LAHAR_RETURN_NOT_OK(r.U32(&tick));
+  if (tick > loaded->horizon()) {
+    return Status::InvalidArgument("checkpoint tick " + std::to_string(tick) +
+                                   " is past its database's horizon");
+  }
   uint64_t num_ended;
   LAHAR_RETURN_NOT_OK(r.U64(&num_ended));
+  if (num_ended > loaded->num_streams()) {
+    return Status::InvalidArgument("more ended streams than streams");
+  }
   std::vector<StreamId> ended(num_ended);
   for (uint64_t i = 0; i < num_ended; ++i) {
     LAHAR_RETURN_NOT_OK(r.U32(&ended[i]));
+    if (ended[i] >= loaded->num_streams()) {
+      return Status::InvalidArgument("ended stream id out of range");
+    }
   }
 
   // Swap the snapshot's content into the caller's database in place: the
@@ -119,8 +141,8 @@ Status StreamRuntime::Restore(std::string_view snapshot) {
     LAHAR_RETURN_NOT_OK(r.Str(&text));
     LAHAR_RETURN_NOT_OK(r.U8(&has_state));
     if (has_state != 0) {
-      std::string blob;
-      LAHAR_RETURN_NOT_OK(r.Str(&blob));
+      std::string_view blob;
+      LAHAR_RETURN_NOT_OK(r.StrView(&blob));
       serial::Reader state(blob);
       LAHAR_RETURN_NOT_OK(registry_.RestoreQuery(id, text, tick_, &state));
     } else {
@@ -128,6 +150,9 @@ Status StreamRuntime::Restore(std::string_view snapshot) {
     }
   }
 
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after checkpoint");
+  }
   {
     std::lock_guard<std::mutex> tick_lock(tick_mu_);
     published_tick_ = tick_;

@@ -1,14 +1,18 @@
 // Checkpoint/restore tests: the binary database snapshot round-trips field
 // for field, a restored runtime continues a mixed-class workload with
-// bit-identical per-tick results, and a producer whose batch is rejected
+// bit-identical per-tick results and re-checkpoints to the same bytes,
+// truncated or byte-flipped checkpoints fail with a Status (never a crash,
+// hang or oversized allocation), and a producer whose batch is rejected
 // mid-stream can retry and make progress (the transactional-ingest
 // guarantee end to end).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/serial.h"
 #include "engine/streaming.h"
 #include "runtime/checkpoint.h"
@@ -84,6 +88,51 @@ TEST(DatabaseSnapshotTest, TruncatedSnapshotFailsCleanly) {
                      bytes.size() - 1}) {
     serial::Reader r(std::string_view(bytes).substr(0, cut));
     EXPECT_FALSE(EventDatabase::LoadFrom(&r).ok()) << "cut=" << cut;
+  }
+}
+
+TEST(DatabaseSnapshotTest, CorruptSizesFailWithoutAllocating) {
+  // One 3-value Markov stream; each case overwrites size fields of its
+  // snapshot. Unchecked, the first would allocate 2^62 doubles, the second
+  // would hand the engines an empty CPT to index, and the third would size
+  // per-tick tables by a horizon the data does not have.
+  EventDatabase db;
+  AddMarkovStream(&db, "At", "Bob", {"a", "b", "c"}, 3, 0.8);
+  serial::Writer w;
+  ASSERT_OK(db.SaveTo(&w));
+  const std::string bytes = w.str();
+  // The CPT section closes the (only) stream, and the database's u32
+  // horizon follows it. CPT 0 is the empty placeholder; 1..horizon-1 are
+  // the real ones.
+  const Stream& s = db.stream(0);
+  size_t cpt_bytes = 16;
+  for (Timestamp t = 1; t < s.horizon(); ++t) {
+    cpt_bytes += 16 + 8 * s.CptAt(t).rows() * s.CptAt(t).cols();
+  }
+  const size_t cpt0 = bytes.size() - 4 - cpt_bytes;
+  const uint64_t huge = uint64_t{1} << 31, zero = 0;
+  const uint32_t horizon = 1000;
+  const struct {
+    const char* what;
+    size_t offset;
+    const void* value;
+    size_t width;
+    int count;  // consecutive fields overwritten
+  } cases[] = {
+      {"first CPT dims 2^31 x 2^31", cpt0, &huge, 8, 2},
+      {"second CPT dims 0 x 0", cpt0 + 16, &zero, 8, 2},
+      {"database horizon past its streams", bytes.size() - 4, &horizon, 4, 1},
+  };
+  for (const auto& c : cases) {
+    std::string bad = bytes;
+    for (int k = 0; k < c.count; ++k) {
+      std::memcpy(&bad[c.offset + k * c.width], c.value, c.width);
+    }
+    serial::Reader r(bad);
+    auto loaded = EventDatabase::LoadFrom(&r);
+    EXPECT_FALSE(loaded.ok()) << c.what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << c.what;
   }
 }
 
@@ -267,6 +316,89 @@ TEST(CheckpointRoundTripTest, RestoreGuardsBadInput) {
   started.Start();
   EXPECT_FALSE(started.Restore(run.snapshot).ok());
   started.Stop();
+}
+
+// BuildArchive plus three independent streams a safe plan can serve (the
+// Markovian one sends At-queries of the safe class to the sampler).
+EventDatabase BuildMixedArchive(Timestamp horizon) {
+  EventDatabase db = BuildArchive(horizon);
+  std::vector<StepDist> r, s, t;
+  for (Timestamp i = 1; i <= horizon; ++i) {
+    r.push_back({{"u", 0.1 + 0.07 * i}});
+    s.push_back({{"v", 0.8 - 0.05 * i}});
+    t.push_back(i % 2 == 0 ? StepDist{{"w", 0.6}} : StepDist{});
+  }
+  AddIndependentStream(&db, "R", "k1", r);
+  AddIndependentStream(&db, "S", "k1", s);
+  AddIndependentStream(&db, "T", "a", t);
+  return db;
+}
+
+// Every query class in one runtime: Regular, Extended Regular and Safe
+// sessions restore from direct state; the Unsafe query's sampler (last, so
+// truncated snapshots rarely reach it) rebuilds by replaying the prefix.
+const std::vector<std::string> kMixedQueries = {
+    kQueries[0], kQueries[1], kQueries[2],
+    "R(x, u1); S(x, u2); T('a', y)",
+    "(At(x, l1); At(y, l2)) WHERE l1 = l2",
+};
+
+// Restores `snapshot` into a fresh runtime over a clone of `archive`. The
+// sampler's sample count only shapes the replayed state, never the
+// snapshot's bytes, so a small one keeps the fuzz loop fast.
+Status RestoreFresh(const EventDatabase& archive, std::string_view snapshot) {
+  auto clone = CloneDeclarations(archive);
+  if (!clone.ok()) return clone.status();
+  RuntimeOptions options;
+  options.session.sampling.num_samples = 8;
+  StreamRuntime runtime(clone->get(), options);
+  return runtime.Restore(snapshot);
+}
+
+TEST(CheckpointRoundTripTest, RestoreThenCheckpointReproducesBytes) {
+  // Checkpointed at the last tick, where the window ends too, so every
+  // session that can saves its state directly.
+  EventDatabase archive = BuildMixedArchive(4);
+  RunOutput run = RunWithCheckpoint(archive, 4, kMixedQueries);
+  ASSERT_FALSE(run.snapshot.empty());
+  auto clone = CloneDeclarations(archive);
+  ASSERT_OK(clone.status());
+  StreamRuntime restored(clone->get(), RuntimeOptions{});
+  ASSERT_OK(restored.Restore(run.snapshot));
+  RuntimeStats stats = restored.Stats();
+  ASSERT_EQ(stats.queries.size(), kMixedQueries.size());
+  EXPECT_EQ(stats.queries[3].engine, "SafePlan");
+  EXPECT_EQ(stats.queries[4].engine, "Sampling");
+  auto again = restored.Checkpoint();
+  ASSERT_OK(again.status());
+  EXPECT_EQ(*again, run.snapshot);
+}
+
+TEST(CheckpointFuzzTest, TruncatedOrFlippedCheckpointsFailCleanly) {
+  EventDatabase archive = BuildMixedArchive(4);
+  RunOutput run = RunWithCheckpoint(archive, 4, kMixedQueries);
+  const std::string& snapshot = run.snapshot;
+  ASSERT_FALSE(snapshot.empty());
+  ASSERT_OK(RestoreFresh(archive, snapshot));
+  // Every proper prefix is short of something the layout requires.
+  for (size_t cut = 0; cut < snapshot.size(); ++cut) {
+    EXPECT_FALSE(
+        RestoreFresh(archive, std::string_view(snapshot).substr(0, cut)).ok())
+        << "cut=" << cut;
+  }
+  EXPECT_FALSE(RestoreFresh(archive, snapshot + '\0').ok());  // trailing byte
+  // Single-byte flips: a flip may land in a probability and still restore,
+  // so only the absence of a crash, hang or sanitizer report is asserted
+  // per flip.
+  Rng rng(16);
+  size_t failed = 0;
+  for (int i = 0; i < 1000; ++i) {
+    std::string bad = snapshot;
+    const size_t at = rng.Below(bad.size());
+    bad[at] ^= static_cast<char>(1 + rng.Below(255));
+    failed += RestoreFresh(archive, bad).ok() ? 0 : 1;
+  }
+  EXPECT_GT(failed, 0u);
 }
 
 TEST(IngestFaultInjectionTest, RejectedBatchRetriesWithoutWedgeOrDuplicates) {
