@@ -539,16 +539,28 @@ double ExtendedRegularEngine::Step() {
       for (size_t j = 0; j < w && !delegated; ++j) delegated = IsDelegated(i + j);
       if (!delegated) {
         RegularChain* lanes[simd::kLanes];
-        for (size_t j = 0; j < w; ++j) lanes[j] = chains_[i + j].get();
-        if (RegularChain::StepStripe(lanes, w, next)) {
+        bool striped = true;
+        for (size_t j = 0; j < w; ++j) {
+          lanes[j] = chains_[i + j].get();
+          lanes[j]->SettleStepPath(next);
+          striped = striped && lanes[j]->lane_stride() == w;
+        }
+        if (!striped) {
+          // A lane left its interleaved slot (it settled onto the CSR
+          // walk, dematerialized, or was replaced by an undelegation
+          // copy) and never returns: dissolve the stripe once, so its
+          // lanes step alone from now on.
+          std::fill_n(stripe_width_.begin() + i, w, 1u);
+        } else if (RegularChain::StepStripe(lanes, w, next)) {
           for (size_t j = 0; j < w; ++j) {
             chain_probs_[i + j] = chains_[i + j]->AcceptProb();
           }
           ++stripe_steps_;
           i += w;
           continue;
+        } else {
+          ++stripe_fallbacks_;
         }
-        ++stripe_fallbacks_;
       }
     }
     if (IsDelegated(i)) {
@@ -590,6 +602,16 @@ double ExtendedRegularEngine::Step() {
   double none = 1.0;
   for (double p : chain_probs_) none *= 1.0 - p;
   return 1.0 - none;
+}
+
+size_t ExtendedRegularEngine::num_simd() const {
+  size_t n = 0;
+  for (size_t i = 0; i < chains_.size(); ++i) {
+    const RegularChain* c =
+        IsDelegated(i) ? &delegates_[i]->chain() : chains_[i].get();
+    n += (c != nullptr && c->simd()) ? 1 : 0;
+  }
+  return n;
 }
 
 bool ExtendedRegularEngine::DelegateChain(

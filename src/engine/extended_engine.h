@@ -111,12 +111,10 @@ class ExtendedRegularEngine {
     for (const auto& c : chains_) n += (c != nullptr && c->compiled()) ? 1 : 0;
     return n;
   }
-  /// Number of chains on the vectorized dense-row step path.
-  size_t num_simd() const {
-    size_t n = 0;
-    for (const auto& c : chains_) n += (c != nullptr && c->simd()) ? 1 : 0;
-    return n;
-  }
+  /// Number of bindings stepping on the vectorized dense-row path: a
+  /// delegated binding counts its shared unit's chain, not the frozen
+  /// private one.
+  size_t num_simd() const;
   /// Number of chains packed into lane-interleaved stripes (stepped
   /// simd::kLanes at a time when eligible).
   size_t num_striped() const {

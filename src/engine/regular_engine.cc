@@ -109,23 +109,16 @@ Result<RegularChain> RegularChain::Create(const NormalizedQuery& q,
           want_simd = R <= options.simd_max_hidden;
 #if !defined(LAHAR_NO_SIMD)
         } else if (options.step_mode == KernelStepMode::kAuto) {
-          double density = 1.0;
-          for (const Participant& p : chain.markov_participants_) {
-            const Stream& s = db.stream(p.id);
-            if (s.horizon() < 2) continue;
-            const Matrix& cpt = s.CptAt(1);
-            size_t nz = 0, total = 0;
-            for (size_t r = 0; r < cpt.rows(); ++r) {
-              const double* row = cpt.Row(r);
-              for (size_t c = 0; c < cpt.cols(); ++c) {
-                ++total;
-                if (row[c] > 0) ++nz;
-              }
-            }
-            if (total > 0) density *= static_cast<double>(nz) / total;
-          }
+          // A participant without CptAt(1) counts as dense for now, and
+          // the chain re-measures once it steps through CPTs: missing
+          // factors can only lower the product, so a provisional SIMD
+          // choice is the only one that can change (SettleStepPath).
+          bool complete = true;
+          const double density = chain.CptDensity(&complete);
           want_simd = R >= 2 && R <= options.simd_max_hidden &&
                       density >= options.simd_min_density;
+          chain.simd_pending_ = want_simd && !complete;
+          chain.simd_min_density_ = options.simd_min_density;
 #endif  // !LAHAR_NO_SIMD
         }
         chain.simd_ = want_simd;
@@ -182,6 +175,8 @@ RegularChain::RegularChain(const RegularChain& o)
       kernel_(o.kernel_),
       planes_(o.planes_),
       simd_(o.simd_),
+      simd_pending_(o.simd_pending_),
+      simd_min_density_(o.simd_min_density_),
       row_class_(o.row_class_),
       step_rows_(o.step_rows_),
       step_rows_t_(o.step_rows_t_),
@@ -220,6 +215,8 @@ RegularChain& RegularChain::operator=(RegularChain&& o) noexcept {
   kernel_ = std::move(o.kernel_);
   planes_ = o.planes_;
   simd_ = o.simd_;
+  simd_pending_ = o.simd_pending_;
+  simd_min_density_ = o.simd_min_density_;
   lane_stride_ = o.lane_stride_;
   row_class_ = std::move(o.row_class_);
   step_rows_ = std::move(o.step_rows_);
@@ -340,14 +337,13 @@ void RegularChain::EnumerateSuccessors(const Key& key, double p,
       // Stream over: certain bottom, contributes nothing to the input.
       for (const Frame& f : frontier) scratch.push_back(f);
     } else if (next > 1) {
-      const Matrix& cpt = s.CptAt(next - 1);
+      const Stream::SparseCpt& cpt = s.SparseCptAt(next - 1);
       const DomainIndex d = static_cast<DomainIndex>(
           (key.hidden / part.radix) % s.domain_size());
-      const double* row = cpt.Row(d);
       for (const Frame& f : frontier) {
-        for (DomainIndex d2 = 0; d2 < s.domain_size(); ++d2) {
-          double q = row[d2];
-          if (q <= 0) continue;
+        for (uint32_t i = cpt.row_begin[d]; i < cpt.row_begin[d + 1]; ++i) {
+          const DomainIndex d2 = cpt.cols[i];
+          const double q = cpt.probs[i];
           Frame nf = f;
           nf.prob *= q;
           nf.input |= symbols_->MaskFor(part.position, d2);
@@ -421,15 +417,15 @@ void RegularChain::BuildHiddenRows(Timestamp next) {
         if (next > st.horizon()) {
           s.frames2 = s.frames;  // ended: digit 0, probability 1
         } else if (next > 1) {
-          const Matrix& cpt = st.CptAt(next - 1);
+          const Stream::SparseCpt& cpt = st.SparseCptAt(next - 1);
           const DomainIndex d =
               static_cast<DomainIndex>((h / part.radix) % dom);
-          const double* row = cpt.Row(d);
+          const uint32_t begin = cpt.row_begin[d];
+          const uint32_t end = cpt.row_begin[d + 1];
           for (const auto& [h2, pr] : s.frames) {
-            for (DomainIndex d2 = 0; d2 < dom; ++d2) {
-              const double q = row[d2];
-              if (q <= 0) continue;
-              s.frames2.emplace_back(h2 + part.radix * d2, pr * q);
+            for (uint32_t i = begin; i < end; ++i) {
+              s.frames2.emplace_back(h2 + part.radix * cpt.cols[i],
+                                     pr * cpt.probs[i]);
             }
           }
         } else {
@@ -573,14 +569,14 @@ std::shared_ptr<const TransitionRowSet> RegularChain::BuildRowSet(
       if (next > st.horizon()) {
         frames2 = frames;  // ended: digit 0, probability 1
       } else if (next > 1) {
-        const Matrix& cpt = st.CptAt(next - 1);
+        const Stream::SparseCpt& cpt = st.SparseCptAt(next - 1);
         const DomainIndex d = static_cast<DomainIndex>((h / part.radix) % dom);
-        const double* row = cpt.Row(d);
+        const uint32_t begin = cpt.row_begin[d];
+        const uint32_t end = cpt.row_begin[d + 1];
         for (const auto& [h2, pr] : frames) {
-          for (DomainIndex d2 = 0; d2 < dom; ++d2) {
-            const double q = row[d2];
-            if (q <= 0) continue;
-            frames2.emplace_back(h2 + part.radix * d2, pr * q);
+          for (uint32_t i = begin; i < end; ++i) {
+            frames2.emplace_back(h2 + part.radix * cpt.cols[i],
+                                 pr * cpt.probs[i]);
           }
         }
       } else {
@@ -821,6 +817,57 @@ void RegularChain::DematerializeToMap() {
   step_rows_.reset();
 }
 
+double RegularChain::CptDensity(bool* complete) const {
+  double density = 1.0;
+  for (const Participant& p : markov_participants_) {
+    const Stream& s = db_->stream(p.id);
+    if (s.horizon() < 2) {
+      if (complete != nullptr) *complete = false;
+      continue;
+    }
+    const Matrix& cpt = s.CptAt(1);
+    const size_t total = cpt.rows() * cpt.cols();
+    const size_t nz = s.SparseCptAt(1).cols.size();
+    if (total > 0) density *= static_cast<double>(nz) / total;
+  }
+  return density;
+}
+
+void RegularChain::SettleStepPath(Timestamp next) {
+  if (!simd_pending_ || next < 2) return;
+  simd_pending_ = false;
+  if (simd_ && CptDensity(nullptr) < simd_min_density_) SwitchToScalar();
+}
+
+void RegularChain::SwitchToScalar() {
+  const CompiledKernel& k = *kernel_;
+  const uint64_t R = k.R;
+  const size_t stride = FlatStride();
+  // Slot layout -> canonical h order, de-strided.
+  std::vector<double> canon(stride);
+  for (size_t block = 0; block < stride; block += R) {
+    const double* src = cur_ + block * lane_stride_;
+    for (uint64_t h = 0; h < R; ++h) {
+      canon[block + h] = src[k.slot_of[h] * lane_stride_];
+    }
+  }
+  if (lane_stride_ == 1) {
+    std::copy(canon.begin(), canon.end(), cur_);
+  } else {
+    // A striped lane cannot step the CSR walk in its interleaved slot; it
+    // re-owns contiguous storage, as EnableAcceptTracking does.
+    canon.resize(2 * stride, 0.0);
+    flat_ = std::move(canon);
+    cur_ = flat_.data();
+    nxt_ = flat_.data() + stride;
+    lane_stride_ = 1;
+  }
+  simd_ = false;
+  row_class_.reset();
+  step_rows_.reset();
+  step_rows_t_ = 0;
+}
+
 void RegularChain::RefreshSymbols() {
   Result<SymbolTable> grown = symbols_->WithGrownDomains(*db_);
   if (!grown.ok()) {
@@ -839,6 +886,7 @@ double RegularChain::Step() {
   // alphabet, StepKernel's structural guard dematerializes to the map path;
   // a mask already in the alphabet keeps the kernel running bit-identically.
   if (!symbols_->CoversDomains(*db_)) RefreshSymbols();
+  SettleStepPath(next);
   BuildIndependentMaskDist(next);
   const bool stepped =
       kernel_ != nullptr &&

@@ -58,7 +58,9 @@ struct ChainOptions {
   /// doubles per (class, timestep), so past this the CSR walk wins.
   uint32_t simd_max_hidden = 512;
   /// kAuto floor on the joint CPT nonzero fraction: below it the CSR skip
-  /// of zero successors beats dense multiply-accumulate.
+  /// of zero successors beats dense multiply-accumulate. Measured on each
+  /// Markovian participant's CptAt(1): at creation when every participant
+  /// has one, otherwise once at the chain's first CPT step.
   double simd_min_density = 0.35;
   /// Optional cross-chain dense-row reuse (e.g. PreparedQuery::row_pool).
   /// Null makes every SIMD chain build rows locally; classes are held by
@@ -170,6 +172,19 @@ class RegularChain {
   /// in the kernel's class-sorted slot layout).
   bool simd() const { return simd_; }
 
+  /// Arena lane interleave of the state (1 = contiguous). A chain leaves a
+  /// stripe (see StepStripe) for good once this drops to 1.
+  size_t lane_stride() const { return lane_stride_; }
+
+  /// Settles a kAuto step path that creation had to leave provisional
+  /// because some Markovian participant had no CptAt(1) yet (a live stream
+  /// registered before its second tick): at the first `next` >= 2 the
+  /// density rule is evaluated once, and a sparse chain switches to the
+  /// CSR walk (state re-laid in canonical order, striped storage re-owned
+  /// contiguously). Step() calls this itself; StepStripe callers call it
+  /// on every lane first. A no-op for every other chain.
+  void SettleStepPath(Timestamp next);
+
   /// The interned row class this chain shares (null when rows are local).
   const std::shared_ptr<TransitionRowClass>& row_class() const {
     return row_class_;
@@ -256,6 +271,13 @@ class RegularChain {
                            StateMap* out);
   // Map-path step over the canonically sorted live states.
   void StepMap(Timestamp next);
+  // Product over Markovian participants of CptAt(1)'s nonzero fraction
+  // (read off Stream::SparseCptAt, so O(participants));
+  // a participant without CptAt(1) counts as 1.0 and clears *complete
+  // (when non-null).
+  double CptDensity(bool* complete) const;
+  // Leaves the SIMD path for the CSR walk (see SettleStepPath).
+  void SwitchToScalar();
   // Kernel-path step; returns false after falling back to the map path
   // (the state was dematerialized and the step must be re-run on the map).
   bool StepKernel(Timestamp next);
@@ -319,6 +341,8 @@ class RegularChain {
 
   // --- vectorized step path (simd_ implies kernel_) ------------------------
   bool simd_ = false;       // state lives in slot layout; step via dense rows
+  bool simd_pending_ = false;     // kAuto chose simd_ before CptAt(1) existed
+  double simd_min_density_ = 0;   // kAuto density floor (settled when pending)
   size_t lane_stride_ = 1;  // arena lane interleave (1 = contiguous)
   std::shared_ptr<TransitionRowClass> row_class_;  // null = always local rows
   std::shared_ptr<const TransitionRowSet> step_rows_;  // cache for step t

@@ -96,6 +96,11 @@ Status EventDatabase::AppendMarkovStep(StreamId id, Matrix cpt) {
   return Status::OK();
 }
 
+void EventDatabase::CommitMarkovStep(StreamId id, Stream::PreparedStep step) {
+  streams_[id].CommitMarkovStep(std::move(step));
+  horizon_ = std::max(horizon_, streams_[id].horizon());
+}
+
 size_t EventDatabase::TotalTuples() const {
   size_t total = 0;
   for (const Stream& s : streams_) {

@@ -96,6 +96,8 @@ class EventDatabase {
   Status AppendMarginal(StreamId id, std::vector<double> dist);
   Status AppendInitial(StreamId id, std::vector<double> dist);
   Status AppendMarkovStep(StreamId id, Matrix cpt);
+  /// Appends a step that stream(id).PrepareMarkovStep returned.
+  void CommitMarkovStep(StreamId id, Stream::PreparedStep step);
 
   /// Largest horizon across streams (the database clock T).
   Timestamp horizon() const { return horizon_; }

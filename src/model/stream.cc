@@ -25,6 +25,32 @@ Status CheckDistribution(const std::vector<double>& dist) {
 
 const std::vector<double> kEmptyDist;
 
+// Every row of a CPT must sum to 1. Each row is summed left to right, as a
+// single loop would, but four rows at a time: one row's sum is a chain of
+// dependent adds, so interleaving rows keeps the adder busy.
+Status CheckCptRows(const Matrix& cpt) {
+  constexpr size_t kRows = 4;
+  for (size_t r0 = 0; r0 < cpt.rows(); r0 += kRows) {
+    const size_t n = std::min(kRows, cpt.rows() - r0);
+    double total[kRows] = {0, 0, 0, 0};
+    for (size_t c = 0; c < cpt.cols(); ++c) {
+      if (n == kRows) {  // a fixed trip count keeps the sums in registers
+        for (size_t k = 0; k < kRows; ++k) total[k] += cpt.At(r0 + k, c);
+      } else {
+        for (size_t k = 0; k < n; ++k) total[k] += cpt.At(r0 + k, c);
+      }
+    }
+    for (size_t k = 0; k < n; ++k) {
+      if (std::fabs(total[k] - 1.0) > 1e-6) {
+        return Status::InvalidArgument("CPT row " + std::to_string(r0 + k) +
+                                       " sums to " +
+                                       std::to_string(total[k]));
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Stream::Stream(SymbolId type, ValueTuple key, size_t num_value_attrs,
@@ -38,31 +64,114 @@ Stream::Stream(SymbolId type, ValueTuple key, size_t num_value_attrs,
   marginals_.resize(horizon_ + 1);
   if (markovian_) {
     cpts_.resize(horizon_);  // cpts_[1..horizon-1]
-    cpt_digests_.resize(horizon_);
+    cpt_views_.Resize(horizon_);
   }
 }
 
-// Dual word-wise FNV-1a over dims then raw entry bits. Word-wise (not
-// byte-wise) keeps the cost well under one pass of the validation checks
-// that already read every entry on the write path.
+// Dual word-wise FNV-1a over raw entry bits, dealt round-robin into four
+// independent lanes and folded, with the dims, in lane order at the end:
+// one FNV chain is bound by multiply latency, four run at multiply
+// throughput. Word-wise (not byte-wise) keeps the cost well under one pass
+// of the validation checks that already read every entry on the write path.
 std::array<uint64_t, 2> Stream::DigestCpt(const Matrix& cpt) {
-  uint64_t lo = 0xcbf29ce484222325ULL;
-  uint64_t hi = 0x84222325cbf29ce4ULL;
-  auto mix = [&](uint64_t v) {
-    lo = (lo ^ v) * 0x100000001b3ULL;
-    hi = (hi ^ v) * 0x00000100000001b3ULL + 0x9e3779b97f4a7c15ULL;
+  constexpr size_t kLanes = 4;
+  auto mix_lo = [](uint64_t* h, uint64_t v) {
+    *h = (*h ^ v) * 0x100000001b3ULL;
   };
-  mix(cpt.rows());
-  mix(cpt.cols());
+  auto mix_hi = [](uint64_t* h, uint64_t v) {
+    *h = (*h ^ v) * 0x00000100000001b3ULL + 0x9e3779b97f4a7c15ULL;
+  };
+  uint64_t lo[kLanes], hi[kLanes];
+  for (size_t k = 0; k < kLanes; ++k) {
+    lo[k] = 0xcbf29ce484222325ULL + k;
+    hi[k] = 0x84222325cbf29ce4ULL + k;
+  }
+  const double* entries = cpt.data();
+  const size_t n = cpt.rows() * cpt.cols();
+  auto mix_entry = [&](size_t lane, size_t i) {
+    uint64_t bits;
+    std::memcpy(&bits, &entries[i], sizeof(bits));
+    mix_lo(&lo[lane], bits);
+    mix_hi(&hi[lane], bits);
+  };
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (size_t k = 0; k < kLanes; ++k) mix_entry(k, i + k);
+  }
+  for (; i < n; ++i) mix_entry(i % kLanes, i);
+  uint64_t out_lo = 0xcbf29ce484222325ULL;
+  uint64_t out_hi = 0x84222325cbf29ce4ULL;
+  for (uint64_t v : {static_cast<uint64_t>(cpt.rows()),
+                     static_cast<uint64_t>(cpt.cols())}) {
+    mix_lo(&out_lo, v);
+    mix_hi(&out_hi, v);
+  }
+  for (size_t k = 0; k < kLanes; ++k) {
+    mix_lo(&out_lo, lo[k]);
+    mix_hi(&out_hi, hi[k]);
+  }
+  return {out_lo, out_hi};
+}
+
+Stream::SparseCpt Stream::SparsifyCpt(const Matrix& cpt) {
+  SparseCpt sparse;
+  const double* entries = cpt.data();
+  const size_t n = cpt.rows() * cpt.cols();
+  size_t nonzeros = 0;
+  for (size_t i = 0; i < n; ++i) nonzeros += !(entries[i] <= 0);
+  // Branch-free compaction (at CPT densities of a few percent a branch on
+  // the entry mispredicts at most nonzeros): every entry is written at
+  // the cursor, which only moves past kept ones — so the arrays need one
+  // slack slot, dropped at the end.
+  sparse.row_begin.resize(cpt.rows() + 1);
+  sparse.cols.resize(nonzeros + 1);
+  sparse.probs.resize(nonzeros + 1);
+  uint32_t kept = 0;
+  sparse.row_begin[0] = 0;
   for (size_t r = 0; r < cpt.rows(); ++r) {
     const double* row = cpt.Row(r);
     for (size_t c = 0; c < cpt.cols(); ++c) {
-      uint64_t bits;
-      std::memcpy(&bits, &row[c], sizeof(bits));
-      mix(bits);
+      sparse.cols[kept] = static_cast<uint32_t>(c);
+      sparse.probs[kept] = row[c];
+      kept += !(row[c] <= 0);
+    }
+    sparse.row_begin[r + 1] = kept;
+  }
+  sparse.cols.pop_back();
+  sparse.probs.pop_back();
+  return sparse;
+}
+
+void Stream::CptViews::Resize(size_t n) {
+  const size_t old = slots_.size();
+  slots_.resize(n);
+  for (size_t t = old; t < n; ++t) Reset(t);
+}
+
+const std::array<uint64_t, 2>& Stream::CptViews::Digest(
+    size_t t, const Matrix& cpt) const {
+  Slot& slot = *slots_[t];
+  if (!slot.has_digest.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(slot.mu);
+    if (!slot.has_digest.load(std::memory_order_relaxed)) {
+      slot.digest = DigestCpt(cpt);
+      slot.has_digest.store(true, std::memory_order_release);
     }
   }
-  return {lo, hi};
+  return slot.digest;
+}
+
+const Stream::SparseCpt& Stream::CptViews::Sparse(size_t t,
+                                                  const Matrix& cpt) const {
+  Slot& slot = *slots_[t];
+  if (!slot.has_sparse.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(slot.mu);
+    if (!slot.has_sparse.load(std::memory_order_relaxed)) {
+      slot.sparse = SparsifyCpt(cpt);
+      slot.has_sparse.store(true, std::memory_order_release);
+    }
+  }
+  return slot.sparse;
 }
 
 DomainIndex Stream::InternTuple(const ValueTuple& values) {
@@ -104,16 +213,9 @@ Status Stream::SetCpt(Timestamp t, Matrix cpt) {
     return Status::InvalidArgument(
         "CPT must be D x D over the stream domain; intern all tuples first");
   }
-  for (size_t r = 0; r < cpt.rows(); ++r) {
-    double total = 0;
-    for (size_t c = 0; c < cpt.cols(); ++c) total += cpt.At(r, c);
-    if (std::fabs(total - 1.0) > 1e-6) {
-      return Status::InvalidArgument("CPT row " + std::to_string(r) +
-                                     " sums to " + std::to_string(total));
-    }
-  }
+  LAHAR_RETURN_NOT_OK(CheckCptRows(cpt));
   cpts_[t] = std::move(cpt);
-  cpt_digests_[t] = DigestCpt(cpts_[t]);
+  cpt_views_.Reset(t);
   return Status::OK();
 }
 
@@ -163,7 +265,7 @@ Status Stream::PruneCpts(double epsilon, size_t* entries_before,
       }
       after += kept_count;
     }
-    cpt_digests_[t] = DigestCpt(cpt);
+    cpt_views_.Reset(t);
   }
   if (entries_before != nullptr) *entries_before = before;
   if (entries_after != nullptr) *entries_after = after;
@@ -195,12 +297,19 @@ Status Stream::AppendInitial(std::vector<double> dist) {
   LAHAR_RETURN_NOT_OK(CheckDistribution(dist));
   marginals_.push_back(std::move(dist));
   cpts_.emplace_back();  // index 0 placeholder; CPTs live at 1..horizon-1
-  cpt_digests_.emplace_back();
+  cpt_views_.Resize(cpts_.size());
   horizon_ = 1;
   return Status::OK();
 }
 
 Status Stream::AppendMarkovStep(Matrix cpt) {
+  Result<PreparedStep> step = PrepareMarkovStep(std::move(cpt));
+  if (!step.ok()) return step.status();
+  CommitMarkovStep(std::move(*step));
+  return Status::OK();
+}
+
+Result<Stream::PreparedStep> Stream::PrepareMarkovStep(Matrix cpt) const {
   if (!markovian_) {
     return Status::InvalidArgument(
         "AppendMarkovStep requires a Markovian stream");
@@ -212,19 +321,18 @@ Status Stream::AppendMarkovStep(Matrix cpt) {
   if (cpt.rows() != domain_.size() || cpt.cols() != domain_.size()) {
     return Status::InvalidArgument("CPT must be D x D over the stream domain");
   }
-  for (size_t r = 0; r < cpt.rows(); ++r) {
-    double total = 0;
-    for (size_t c = 0; c < cpt.cols(); ++c) total += cpt.At(r, c);
-    if (std::fabs(total - 1.0) > 1e-6) {
-      return Status::InvalidArgument("CPT row " + std::to_string(r) +
-                                     " sums to " + std::to_string(total));
-    }
-  }
-  marginals_.push_back(cpt.LeftMultiply(marginals_[horizon_]));
-  cpts_.push_back(std::move(cpt));
-  cpt_digests_.push_back(DigestCpt(cpts_.back()));
+  LAHAR_RETURN_NOT_OK(CheckCptRows(cpt));
+  PreparedStep step;
+  step.marginal = cpt.LeftMultiply(marginals_[horizon_]);
+  step.cpt = std::move(cpt);
+  return step;
+}
+
+void Stream::CommitMarkovStep(PreparedStep step) {
+  marginals_.push_back(std::move(step.marginal));
+  cpts_.push_back(std::move(step.cpt));
+  cpt_views_.Resize(cpts_.size());
   ++horizon_;
-  return Status::OK();
 }
 
 const std::vector<double>& Stream::MarginalAt(Timestamp t) const {
@@ -239,7 +347,12 @@ const Matrix& Stream::CptAt(Timestamp t) const {
 
 const std::array<uint64_t, 2>& Stream::CptDigestAt(Timestamp t) const {
   assert(markovian_ && t >= 1 && t < horizon_);
-  return cpt_digests_[t];
+  return cpt_views_.Digest(t, cpts_[t]);
+}
+
+const Stream::SparseCpt& Stream::SparseCptAt(Timestamp t) const {
+  assert(markovian_ && t >= 1 && t < horizon_);
+  return cpt_views_.Sparse(t, cpts_[t]);
 }
 
 double Stream::ProbAt(Timestamp t, DomainIndex d) const {
@@ -441,11 +554,7 @@ Result<Stream> Stream::LoadFrom(serial::Reader* r) {
     LAHAR_RETURN_NOT_OK(r->F64s(m.data(), rows * cols));
     s.cpts_[i] = std::move(m);
   }
-  // The digest cache is not part of the snapshot format; rebuild it.
-  s.cpt_digests_.resize(s.cpts_.size());
-  for (size_t i = 0; i < s.cpts_.size(); ++i) {
-    s.cpt_digests_[i] = DigestCpt(s.cpts_[i]);
-  }
+  s.cpt_views_.Resize(s.cpts_.size());
   return s;
 }
 

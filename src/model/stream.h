@@ -17,7 +17,10 @@
 #define LAHAR_MODEL_STREAM_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -116,13 +119,38 @@ class Stream {
   /// CPT for the transition t -> t+1. Requires markovian() and 1<=t<horizon.
   const Matrix& CptAt(Timestamp t) const;
 
-  /// Content digest (dual word-wise FNV over dims + entry bits) of
-  /// CptAt(t), maintained wherever the slice is written, so reading it is
-  /// O(1). Engines use it to validate shared transition-row reuse per tick
-  /// without re-reading slice bytes (automaton/rows.h); equal digests on
-  /// structurally equal streams mean bit-equal slices. Same preconditions
-  /// as CptAt.
+  /// Content digest (dual word-wise FNV over entry bits + dims) of
+  /// CptAt(t), computed on first read and kept, so later reads are O(1);
+  /// concurrent readers are safe. Engines use it to validate shared
+  /// transition-row reuse per tick without re-reading slice bytes
+  /// (automaton/rows.h); equal digests on structurally equal streams mean
+  /// bit-equal slices. Same preconditions as CptAt.
   const std::array<uint64_t, 2>& CptDigestAt(Timestamp t) const;
+
+  /// The entries of one CPT that are not `<= 0`, row by row in increasing
+  /// column order (compressed sparse rows): row d holds cols/probs
+  /// [row_begin[d], row_begin[d + 1]). Successor walks skip exactly the
+  /// entries `<= 0`, so walking a row here visits the same successors in
+  /// the same order as scanning the dense row, reading only the nonzeros.
+  struct SparseCpt {
+    std::vector<uint32_t> row_begin;  // rows + 1 offsets
+    std::vector<uint32_t> cols;
+    std::vector<double> probs;
+  };
+  /// CptAt(t) as compressed sparse rows, built on first read like
+  /// CptDigestAt. Same preconditions as CptAt.
+  const SparseCpt& SparseCptAt(Timestamp t) const;
+
+  /// One Markov step checked by PrepareMarkovStep.
+  struct PreparedStep {
+    Matrix cpt;
+    std::vector<double> marginal;  // at the new horizon
+  };
+  /// The first half of AppendMarkovStep: runs its checks and chains the
+  /// new marginal without touching the stream. CommitMarkovStep appends
+  /// the result; no other change to the stream may come in between.
+  Result<PreparedStep> PrepareMarkovStep(Matrix cpt) const;
+  void CommitMarkovStep(PreparedStep step);
 
   /// Marginal probability of domain index d at time t (0 if out of range).
   double ProbAt(Timestamp t, DomainIndex d) const;
@@ -158,14 +186,47 @@ class Stream {
 
   // marginals_[t] for t = 1..horizon (index 0 unused).
   std::vector<std::vector<double>> marginals_;
+
+  // Views derived from the CPT slices, one slot per slice, each view built
+  // by its first reader. Readers may race (engines step chains on several
+  // threads), so a slot builds each view once under its mutex and
+  // publishes it through an atomic flag. Writers of a slice (Set, Prune)
+  // reset its slot and run with no reader in flight, like every other
+  // stream mutation. A copy starts with unbuilt slots; nothing here is
+  // serialized.
+  class CptViews {
+   public:
+    CptViews() = default;
+    CptViews(const CptViews& o) { Resize(o.slots_.size()); }
+    CptViews& operator=(const CptViews& o) {
+      slots_.clear();
+      Resize(o.slots_.size());
+      return *this;
+    }
+    CptViews(CptViews&&) = default;
+    CptViews& operator=(CptViews&&) = default;
+
+    void Resize(size_t n);
+    void Reset(size_t t) { slots_[t] = std::make_unique<Slot>(); }
+    const std::array<uint64_t, 2>& Digest(size_t t, const Matrix& cpt) const;
+    const SparseCpt& Sparse(size_t t, const Matrix& cpt) const;
+
+   private:
+    struct Slot {
+      std::mutex mu;
+      std::atomic<bool> has_digest{false};
+      std::atomic<bool> has_sparse{false};
+      std::array<uint64_t, 2> digest{};
+      SparseCpt sparse;
+    };
+    std::vector<std::unique_ptr<Slot>> slots_;
+  };
   static std::array<uint64_t, 2> DigestCpt(const Matrix& cpt);
+  static SparseCpt SparsifyCpt(const Matrix& cpt);
 
   // cpts_[t] is the transition t -> t+1, for t = 1..horizon-1 (Markovian).
   std::vector<Matrix> cpts_;
-  // cpt_digests_[t] mirrors cpts_[t] — recomputed wherever a slice is
-  // written (Set/Append/Prune/LoadFrom), never serialized (snapshot bytes
-  // are unchanged by this cache; LoadFrom rebuilds it).
-  std::vector<std::array<uint64_t, 2>> cpt_digests_;
+  CptViews cpt_views_;  // one slot per cpts_ entry
 };
 
 }  // namespace lahar

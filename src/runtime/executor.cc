@@ -13,6 +13,14 @@ uint64_t NowNs() {
           .count());
 }
 
+// Summed RegularChain::StepCost() of a window's shared-unit steps from
+// which the units run on the pool. One cost unit is roughly 10-20 ns of
+// stepping, so this is ~40-80 us of serial work. Below it the coordinator
+// steps them before publishing the epoch: the workers would mostly wait
+// for the last claimed unit, and each unit's state would move between
+// cores for nothing.
+constexpr uint64_t kParallelUnitCost = 4096;
+
 // Log2-ish histogram bucket for a window size W >= 1 (see executor.h).
 size_t WindowBucket(size_t w) {
   size_t b = 0;
@@ -324,15 +332,31 @@ void StreamRuntime::RunWindow(
   const size_t W = window_size_ = window;
   const size_t nq = registry_.size();
   // Shared-unit phase (docs/SHARING.md): every cross-query shared unit
-  // steps through the whole window up front, on this thread; delegated
-  // chains then read the recorded frontier instead of stepping. The epoch
-  // bump below publishes the frontiers to the worker pool.
-  registry_.AdvanceSharedUnits(tick_ + W);
+  // steps through the whole window up front; delegated chains then read
+  // the recorded frontier instead of stepping. The session epoch's bump
+  // publishes the frontiers to the worker pool.
+  unit_to_ = tick_ + W;
+  registry_.CollectSharedUnits(unit_to_, &unit_work_);
+  uint64_t unit_cost = 0;
+  for (const SharedSubChain* unit : unit_work_) {
+    unit_cost += unit->chain().StepCost() * (unit_to_ - unit->time());
+  }
+  pooled_units_ = num_threads_ > 1 && unit_work_.size() > 1 &&
+                          unit_cost >= kParallelUnitCost
+                      ? unit_work_.size()
+                      : 0;
+  if (pooled_units_ == 0) {
+    for (SharedSubChain* unit : unit_work_) unit->AdvanceTo(unit_to_);
+  }
 
   if (num_threads_ > 1) {
     for (ShardScratch& s : shard_scratch_) {
       s.chains = 0;
       s.busy_ns = 0;
+    }
+    if (pooled_units_ > 0) {
+      unit_next_.store(0, std::memory_order_relaxed);
+      units_done_.store(0, std::memory_order_relaxed);
     }
     shards_running_.store(num_threads_, std::memory_order_relaxed);
     {
@@ -342,6 +366,9 @@ void StreamRuntime::RunWindow(
       epoch_.fetch_add(1, std::memory_order_release);
     }
     work_cv_.notify_all();
+    // The coordinator steps pooled units until none are left unclaimed:
+    // workers take a while to wake, and every session waits on the units.
+    if (pooled_units_ > 0) StepClaimedUnits();
     const uint64_t b0 = NowNs();
     {
       std::unique_lock<std::mutex> lock(work_mu_);
@@ -407,6 +434,18 @@ void StreamRuntime::RunWindow(
   ++window_size_hist_[WindowBucket(W)];
 }
 
+void StreamRuntime::StepClaimedUnits() {
+  // Each unit steps on whichever thread claims it; its result does not
+  // depend on which, since a unit reads only its own state and the
+  // database.
+  for (size_t i = unit_next_.fetch_add(1, std::memory_order_relaxed);
+       i < pooled_units_;
+       i = unit_next_.fetch_add(1, std::memory_order_relaxed)) {
+    unit_work_[i]->AdvanceTo(unit_to_);
+    units_done_.fetch_add(1, std::memory_order_release);
+  }
+}
+
 void StreamRuntime::CoordinatorLoop() {
   std::vector<TickBatch> drained;
   std::vector<std::shared_ptr<const TickResult>> completed;
@@ -443,7 +482,7 @@ void StreamRuntime::CoordinatorLoop() {
         // retried): keeping it would wedge the stream forever.
         TickBatch ready;
         while (reorder_.PopDue(*db_, &ready)) {
-          Status ds = ApplyBatch(db_, ready, &watermark_);
+          Status ds = ApplyBatch(db_, std::move(ready), &watermark_);
           if (!ds.ok()) {
             ++batches_rejected_;
             last_ingest_error_ = ds;
@@ -493,6 +532,16 @@ void StreamRuntime::ShardLoop(size_t shard) {
       });
       if (shard_stop_.load(std::memory_order_relaxed)) return;
       seen = epoch_.load(std::memory_order_acquire);
+    }
+    // Pooled units first. Sessions read their frontiers, so a worker that
+    // runs out of units to claim waits for the ones still being stepped —
+    // a wait of at most one unit's window of steps, on threads that are
+    // running; yielding keeps the vCPU free for them meanwhile.
+    if (pooled_units_ > 0) {
+      StepClaimedUnits();
+      while (units_done_.load(std::memory_order_acquire) < pooled_units_) {
+        std::this_thread::yield();
+      }
     }
     RunWindowShard(shard);
     // Completion publication: the last worker's running-count decrement

@@ -8,12 +8,14 @@
 //   producers --TickBatch--> IngestQueue --(bulk DrainWait)--> coordinator
 //   applies every drained batch to the database and advances the
 //   Watermark; if the watermark now covers ticks (tick_, tick_ + W]
-//   (W <= RuntimeOptions::max_window_ticks), the coordinator publishes ONE
-//   work epoch for the whole window. Each worker advances its assigned
-//   sessions through all W ticks back to back — one Advance() per session
-//   per tick, results written into a preallocated window buffer. After the
-//   single end-of-window barrier the coordinator harvests the buffer and
-//   publishes one immutable TickResult per tick, in order.
+//   (W <= RuntimeOptions::max_window_ticks), the cross-query shared units
+//   (docs/SHARING.md) step through the whole window first, then the
+//   coordinator publishes ONE session epoch for it. Each worker advances
+//   its assigned sessions through all W ticks back to back — one Advance()
+//   per session per tick, results written into a preallocated window
+//   buffer. After the single end-of-window barrier the coordinator
+//   harvests the buffer and publishes one immutable TickResult per tick,
+//   in order.
 //
 // Windowing changes only where barriers happen, never what is computed:
 // each session runs exactly the sequential Advance() loop, so published
@@ -29,6 +31,12 @@
 // The plan maps each session to one worker by longest-processing-time
 // greedy over static QuerySession::StepCost() estimates and is rebuilt
 // only when the registry version changes.
+//
+// Shared units are independent of each other, so when a window holds
+// enough unit work (kParallelUnitCost) the pool steps them at the start of
+// the window's epoch: the coordinator and the workers claim units one at a
+// time, and each worker starts its sessions once every unit is done. Below
+// that the coordinator steps them alone before publishing the epoch.
 //
 // Synchronization budget per window: one mutex/condvar handshake to wake
 // the pool and one to park the coordinator at the end-of-window barrier —
@@ -226,6 +234,10 @@ class StreamRuntime {
                  std::vector<std::shared_ptr<const TickResult>>* out);
   // One worker's share of the current window (also the inline path's body).
   void RunWindowShard(size_t shard);
+  // Steps the window's pooled shared units (unit_work_[0, pooled_units_))
+  // claimed one at a time off unit_next_ until none are left, counting
+  // each into units_done_.
+  void StepClaimedUnits();
   // Rebuilds the persistent placement; requires state_mu_ held and no
   // window in flight.
   void RebuildPlan();
@@ -265,6 +277,13 @@ class StreamRuntime {
   std::vector<std::vector<OwnedItem>> shard_plan_;  // [shard] -> sessions
   std::vector<std::vector<WindowEntry>> window_entries_;  // [tick][query]
   std::vector<ShardScratch> shard_scratch_;
+  std::vector<SharedSubChain*> unit_work_;  // units behind the window's end
+  Timestamp unit_to_ = 0;                   // the window's last tick
+  // Units the pool steps at the start of the epoch (0 when the coordinator
+  // stepped them before publishing it).
+  size_t pooled_units_ = 0;
+  std::atomic<size_t> unit_next_{0};   // next unclaimed unit_work_ slot
+  std::atomic<size_t> units_done_{0};  // pooled units stepped so far
 
   // --- worker pool handshake (work_mu_: sleep/wake only) ------------------
   mutable std::mutex work_mu_;

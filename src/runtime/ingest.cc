@@ -162,11 +162,14 @@ bool Watermark::ended(StreamId id) const {
 namespace {
 
 // Mirrors the checks Stream::Append{Marginal,Initial} run after resizing to
-// the domain, so a validated update cannot fail at apply time.
-Status CheckUpdateDistribution(const Stream& s, std::vector<double> dist) {
-  dist.resize(s.domain_size(), 0.0);
+// the domain (the zero padding changes neither check), so a validated
+// update cannot fail at apply time.
+Status CheckUpdateDistribution(const Stream& s,
+                               const std::vector<double>& dist) {
+  const size_t n = std::min(dist.size(), s.domain_size());
   double total = 0;
-  for (double p : dist) {
+  for (size_t i = 0; i < n; ++i) {
+    const double p = dist[i];
     if (p < -1e-9 || p > 1 + 1e-9) {
       return Status::InvalidArgument("probability out of [0,1]");
     }
@@ -179,84 +182,75 @@ Status CheckUpdateDistribution(const Stream& s, std::vector<double> dist) {
   return Status::OK();
 }
 
-// Mirrors Stream::AppendMarkovStep's CPT checks.
-Status CheckUpdateCpt(const Stream& s, const Matrix& cpt) {
-  if (cpt.rows() != s.domain_size() || cpt.cols() != s.domain_size()) {
-    return Status::InvalidArgument("CPT must be D x D over the stream domain");
-  }
-  for (size_t r = 0; r < cpt.rows(); ++r) {
-    double total = 0;
-    for (size_t c = 0; c < cpt.cols(); ++c) total += cpt.At(r, c);
-    if (std::fabs(total - 1.0) > 1e-6) {
-      return Status::InvalidArgument("CPT row " + std::to_string(r) +
-                                     " sums to " + std::to_string(total));
-    }
-  }
-  return Status::OK();
-}
-
-// Full validation for one update at tick `t`, with no mutation. Every check
-// the apply path would perform runs here first, so the apply loop below
-// cannot fail mid-batch.
-Status ValidateUpdate(const EventDatabase& db, Timestamp t,
-                      const StreamUpdate& u) {
-  if (u.stream >= db.num_streams()) {
+// Full validation for one update at tick `t`, with no mutation of the
+// database. Every check the apply path would perform runs here first, so
+// the apply loop below cannot fail mid-batch. A CPT update's own checks run
+// in Stream::PrepareMarkovStep, which takes the CPT out of *u; the step,
+// ready to commit, is appended to *steps.
+Status ValidateUpdate(const EventDatabase& db, Timestamp t, StreamUpdate* u,
+                      std::vector<Stream::PreparedStep>* steps) {
+  if (u->stream >= db.num_streams()) {
     return Status::OutOfRange("batch references unknown stream " +
-                              std::to_string(u.stream));
+                              std::to_string(u->stream));
   }
-  const Stream& s = db.stream(u.stream);
+  const Stream& s = db.stream(u->stream);
   if (t != s.horizon() + 1) {
     return Status::InvalidArgument(
         "batch for t=" + std::to_string(t) + " but stream " +
-        std::to_string(u.stream) + " is at horizon " +
+        std::to_string(u->stream) + " is at horizon " +
         std::to_string(s.horizon()) + " (ticks must arrive in order)");
   }
-  if (u.cpt.has_value()) {
+  if (u->cpt.has_value()) {
     if (!s.markovian()) {
       return Status::InvalidArgument("CPT update for independent stream " +
-                                     std::to_string(u.stream));
+                                     std::to_string(u->stream));
     }
     if (s.horizon() < 1 || s.MarginalAt(s.horizon()).empty()) {
       return Status::InvalidArgument(
-          "CPT update for Markovian stream " + std::to_string(u.stream) +
+          "CPT update for Markovian stream " + std::to_string(u->stream) +
           " before its initial marginal");
     }
-    return CheckUpdateCpt(s, *u.cpt);
+    Result<Stream::PreparedStep> prepared =
+        s.PrepareMarkovStep(std::move(*u->cpt));
+    if (!prepared.ok()) return prepared.status();
+    steps->push_back(std::move(*prepared));
+    return Status::OK();
   }
   if (s.markovian() && s.horizon() != 0) {
     return Status::InvalidArgument(
-        "marginal update for Markovian stream " + std::to_string(u.stream) +
+        "marginal update for Markovian stream " + std::to_string(u->stream) +
         " past t=1 (expected a CPT)");
   }
-  return CheckUpdateDistribution(s, u.marginal);
+  return CheckUpdateDistribution(s, u->marginal);
 }
 
 }  // namespace
 
-Status ApplyBatch(EventDatabase* db, const TickBatch& batch,
-                  Watermark* watermark) {
+Status ApplyBatch(EventDatabase* db, TickBatch batch, Watermark* watermark) {
   // Phase 1: validate everything. No mutation happens until every update
   // (including duplicates within the batch) has passed.
   std::unordered_set<StreamId> seen;
   seen.reserve(batch.updates.size());
-  for (const StreamUpdate& u : batch.updates) {
+  std::vector<Stream::PreparedStep> steps;  // CPT updates, in batch order
+  for (StreamUpdate& u : batch.updates) {
     if (!seen.insert(u.stream).second) {
       return Status::InvalidArgument("batch contains stream " +
                                      std::to_string(u.stream) + " twice");
     }
-    LAHAR_RETURN_NOT_OK(ValidateUpdate(*db, batch.t, u));
+    LAHAR_RETURN_NOT_OK(ValidateUpdate(*db, batch.t, &u, &steps));
   }
   // Phase 2: apply. Validation mirrored every apply-side check, so a
   // failure here is a programming error, not a data error — surface it as
   // Internal but note the transaction guarantee no longer holds.
-  for (const StreamUpdate& u : batch.updates) {
+  size_t next_step = 0;
+  for (StreamUpdate& u : batch.updates) {
     Status st;
     if (u.cpt.has_value()) {
-      st = db->AppendMarkovStep(u.stream, *u.cpt);
+      db->CommitMarkovStep(u.stream, std::move(steps[next_step++]));
     } else if (db->stream(u.stream).markovian()) {
-      st = db->AppendInitial(u.stream, u.marginal);
+      st = db->AppendInitial(u.stream, std::move(u.marginal));
     } else {
-      st = db->AppendMarginal(u.stream, u.marginal);
+      st = db->AppendMarginal(u.stream, std::move(u.marginal));
     }
     if (!st.ok()) {
       return Status::Internal("validated update failed to apply: " +

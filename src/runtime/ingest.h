@@ -151,9 +151,10 @@ class Watermark {
 ///
 /// On success, marginals append to independent streams (or seed empty
 /// Markovian streams at t=1), CPTs append Markov steps, and `watermark`
-/// advances for each applied stream.
-Status ApplyBatch(EventDatabase* db, const TickBatch& batch,
-                  Watermark* watermark);
+/// advances for each applied stream. The batch is taken by value so its
+/// CPTs and marginals move into the streams; pass an rvalue to skip the
+/// copy.
+Status ApplyBatch(EventDatabase* db, TickBatch batch, Watermark* watermark);
 
 /// \brief Bounded per-stream reorder stage in front of ApplyBatch.
 ///

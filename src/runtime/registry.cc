@@ -234,12 +234,21 @@ void QueryRegistry::DetachSharing(StandingQuery* q) {
 }
 
 void QueryRegistry::AdvanceSharedUnits(Timestamp to) {
+  std::vector<SharedSubChain*> units;
+  CollectSharedUnits(to, &units);
+  for (SharedSubChain* unit : units) unit->AdvanceTo(to);
+}
+
+void QueryRegistry::CollectSharedUnits(Timestamp to,
+                                       std::vector<SharedSubChain*>* out) {
+  out->clear();
   for (auto& [key, pool] : sharing_pool_) {
     (void)key;
-    if (pool.unit == nullptr) continue;
-    size_t steps = pool.unit->AdvanceTo(to);
+    if (pool.unit == nullptr || pool.unit->time() >= to) continue;
+    const uint64_t steps = to - pool.unit->time();
     shared_steps_executed_ += steps;
     shared_steps_saved_ += steps * (pool.unit->readers() - 1);
+    out->push_back(pool.unit.get());
   }
 }
 

@@ -121,10 +121,16 @@ class QueryRegistry {
   // --- Cross-query sharing (docs/SHARING.md) ------------------------------
 
   /// Steps every materialized shared unit to timestep `to` and accrues the
-  /// sharing counters. The executor calls this once per window, before any
-  /// dependent session's fan-out; delegated sessions then read the
-  /// recorded frontier instead of stepping.
+  /// sharing counters; delegated sessions then read the recorded frontier
+  /// instead of stepping.
   void AdvanceSharedUnits(Timestamp to);
+  /// The first half of AdvanceSharedUnits, for callers that step the units
+  /// themselves: lists in *out every materialized unit behind timestep
+  /// `to` and accrues the sharing counters for the steps that calling
+  /// AdvanceTo(to) on each will run. Units own their state, so the listed
+  /// units may be stepped concurrently. The executor calls this once per
+  /// window, before any dependent session's fan-out.
+  void CollectSharedUnits(Timestamp to, std::vector<SharedSubChain*>* out);
 
   /// Materialized sharing groups (units live and stepped once per tick).
   size_t num_sharing_groups() const;

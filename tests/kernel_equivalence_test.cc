@@ -336,5 +336,98 @@ TEST(KernelEquivalenceTest, RandomizedSimdSweepBitIdentical) {
   }
 }
 
+// A chain created before its streams hold CptAt(1) (a live database at
+// t = 1) takes the SIMD path provisionally and evaluates kAuto's density
+// rule once, at its first CPT step (t = 2). Stripe lanes that settle onto
+// the CSR walk re-own contiguous storage and the engine dissolves their
+// stripes once; lanes over dense CPTs stay striped. Either way every
+// per-chain double matches the map path and checkpoint bytes match the
+// scalar path.
+TEST(KernelEquivalenceTest, StripesSettleStepPathAtFirstCptStep) {
+  const size_t m = 2 * simd::kLanes + 1;
+  const Timestamp horizon = 8;
+  const size_t n = 7;  // six locations plus bottom
+  for (const bool sparse : {true, false}) {
+    SCOPED_TRACE(sparse ? "sparse CPTs" : "dense CPTs");
+    // Bottom is absorbing. Sparse rows move to one of two locations
+    // (13/49 nonzero, under simd_min_density); dense rows to any of six.
+    Matrix cpt(n, n, 0.0);
+    cpt.At(0, 0) = 1.0;
+    for (size_t d = 1; d < n; ++d) {
+      if (sparse) {
+        cpt.At(d, d) = 0.75;
+        cpt.At(d, d % (n - 1) + 1) = 0.25;
+      } else {
+        for (size_t d2 = 1; d2 < n; ++d2) cpt.At(d, d2) = d == d2 ? 0.5 : 0.1;
+      }
+    }
+    EventDatabase db;
+    DeclareUnarySchema(&db, "At");
+    std::vector<StreamId> ids;
+    for (size_t i = 0; i < m; ++i) {
+      Stream s(db.interner().Intern("At"), {db.Sym("tag" + std::to_string(i))},
+               1, /*horizon=*/0, /*markovian=*/true);
+      for (size_t d = 1; d < n; ++d) {
+        s.InternTuple({db.Sym("d" + std::to_string(d))});
+      }
+      auto id = db.AddStream(std::move(s));
+      ASSERT_OK(id.status());
+      std::vector<double> init(n, 0.0);
+      init[1 + i % (n - 1)] = 0.5;
+      init[1 + (i + 1) % (n - 1)] = 0.5;
+      ASSERT_OK(db.AppendInitial(*id, init));
+      ids.push_back(*id);
+    }
+    QueryPtr q = MustParse(&db, "At(x, l1 : l1 = 'd1'); At(x, l2 : l2 = 'd2')");
+    ASSERT_NE(q, nullptr);
+    auto nq = Normalize(*q);
+    ASSERT_OK(nq.status());
+    ChainOptions scalar_opts;
+    scalar_opts.step_mode = KernelStepMode::kScalar;
+    auto automatic = ExtendedRegularEngine::Create(*nq, db);
+    auto scalar = ExtendedRegularEngine::Create(*nq, db, scalar_opts);
+    auto mapped = ExtendedRegularEngine::Create(*nq, db, MapOnly());
+    ASSERT_OK(automatic.status());
+    ASSERT_OK(scalar.status());
+    ASSERT_OK(mapped.status());
+    ASSERT_EQ(automatic->num_chains(), m);
+    EXPECT_EQ(automatic->num_simd(), m);
+    EXPECT_EQ(automatic->num_striped(), 2 * simd::kLanes);
+
+    uint64_t fallbacks_after_switch = 0;
+    for (Timestamp t = 1; t <= horizon; ++t) {
+      if (t >= 2) {
+        for (StreamId id : ids) ASSERT_OK(db.AppendMarkovStep(id, cpt));
+      }
+      const double pa = automatic->Step();
+      const double ps = scalar->Step();
+      const double pm = mapped->Step();
+      EXPECT_EQ(pa, pm) << "t=" << t;
+      EXPECT_EQ(ps, pm) << "t=" << t;
+      for (size_t i = 0; i < m; ++i) {
+        EXPECT_EQ(automatic->chain_probs()[i], mapped->chain_probs()[i])
+            << "t=" << t << " chain=" << i;
+      }
+      if (t == 2) {
+        EXPECT_EQ(automatic->num_simd(), sparse ? 0u : m);
+        EXPECT_EQ(automatic->num_striped(), sparse ? 0u : 2 * simd::kLanes);
+        fallbacks_after_switch = automatic->stripe_fallbacks();
+      }
+    }
+    // Sparse stripes are dissolved at the switch, not retried every tick;
+    // dense ones keep taking whole-stripe steps.
+    EXPECT_EQ(automatic->stripe_fallbacks(), fallbacks_after_switch);
+    if (sparse) {
+      EXPECT_EQ(automatic->stripe_steps(), 0u);
+    } else {
+      EXPECT_GT(automatic->stripe_steps(), 0u);
+    }
+    serial::Writer wa, ws;
+    automatic->SaveState(&wa);
+    scalar->SaveState(&ws);
+    EXPECT_EQ(wa.str(), ws.str());
+  }
+}
+
 }  // namespace
 }  // namespace lahar

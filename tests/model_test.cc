@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
+
+#include "common/serial.h"
 
 #include "model/world.h"
 #include "test_util.h"
@@ -104,6 +108,60 @@ TEST(StreamTest, CptValidation) {
   Matrix wrong_shape(3, 3, 1.0 / 3);
   EXPECT_FALSE(s.SetCpt(1, wrong_shape).ok());
   EXPECT_FALSE(s.SetCpt(3, Matrix(2, 2, 0.5)).ok());  // t >= horizon
+}
+
+// SparseCptAt(t) must list, row by row and in column order, exactly the
+// entries of CptAt(t) a successor walk visits: those not <= 0.
+void ExpectSparseMatchesDense(const Stream& s, Timestamp t) {
+  const Matrix& cpt = s.CptAt(t);
+  const Stream::SparseCpt& sparse = s.SparseCptAt(t);
+  ASSERT_EQ(sparse.row_begin.size(), cpt.rows() + 1);
+  EXPECT_EQ(sparse.row_begin.front(), 0u);
+  EXPECT_EQ(sparse.row_begin.back(), sparse.cols.size());
+  EXPECT_EQ(sparse.probs.size(), sparse.cols.size());
+  for (size_t r = 0; r < cpt.rows(); ++r) {
+    std::vector<std::pair<uint32_t, double>> dense, listed;
+    for (size_t c = 0; c < cpt.cols(); ++c) {
+      if (!(cpt.At(r, c) <= 0)) {
+        dense.emplace_back(static_cast<uint32_t>(c), cpt.At(r, c));
+      }
+    }
+    for (uint32_t i = sparse.row_begin[r]; i < sparse.row_begin[r + 1];
+         ++i) {
+      listed.emplace_back(sparse.cols[i], sparse.probs[i]);
+    }
+    EXPECT_EQ(listed, dense) << "row " << r << " at t=" << t;
+  }
+}
+
+TEST(StreamTest, SparseCptListsEachRowsNonzeros) {
+  EventDatabase db;
+  StreamId id = AddMarkovStream(&db, "At", "Joe", {"a", "b", "c"}, 3, 0.8);
+  Stream& s = db.stream(id);
+  // Row 1 gets an exact zero; row 2 a tiny negative entry the row-sum
+  // check tolerates. Neither is listed.
+  Matrix cpt = s.CptAt(1);
+  cpt.At(1, 2) = 0.0;
+  cpt.At(1, 3) = 0.2;
+  cpt.At(2, 1) = -1e-12;
+  cpt.At(2, 3) = 0.2 + 1e-12;
+  ASSERT_TRUE(s.SetCpt(1, cpt).ok());
+  ASSERT_TRUE(s.AppendMarkovStep(cpt).ok());
+  for (Timestamp t = 1; t < s.horizon(); ++t) ExpectSparseMatchesDense(s, t);
+  EXPECT_EQ(s.SparseCptAt(1).cols.size(), 8u);  // 1 + 2 + 2 + 3
+
+  // The index is not serialized; LoadFrom rebuilds it.
+  serial::Writer w;
+  s.SaveTo(&w);
+  serial::Reader r(w.str());
+  auto loaded = Stream::LoadFrom(&r);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (Timestamp t = 1; t < s.horizon(); ++t) {
+    ExpectSparseMatchesDense(*loaded, t);
+    EXPECT_EQ(loaded->CptDigestAt(t), s.CptDigestAt(t));
+  }
+  EXPECT_EQ(s.CptDigestAt(1), s.CptDigestAt(3));  // same matrix
+  EXPECT_NE(s.CptDigestAt(1), s.CptDigestAt(2));
 }
 
 TEST(StreamTest, TrajectoryProbMatchesEq1) {

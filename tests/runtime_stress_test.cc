@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +24,20 @@ namespace lahar {
 namespace {
 
 using namespace std::chrono_literals;
+
+// Pushes every batch in order, holding the last one until `overlapped()`
+// holds: a fast stream could otherwise drain before the test's concurrent
+// churn (or checkpoint) thread completes a single cycle, and the race the
+// test exists to exercise would never happen.
+void PushOverlapping(StreamRuntime* runtime, std::vector<TickBatch>* batches,
+                     const std::function<bool()>& overlapped) {
+  for (size_t i = 0; i < batches->size(); ++i) {
+    if (i + 1 == batches->size()) {
+      while (!overlapped()) std::this_thread::sleep_for(1ms);
+    }
+    EXPECT_OK(runtime->ingest().Push(std::move((*batches)[i]), 120000ms));
+  }
+}
 
 constexpr size_t kTags = 4;
 constexpr Timestamp kHorizon = 1000;
@@ -247,13 +262,7 @@ TEST(RuntimeStressTest, MixedClassWorkloadSurvivesConcurrentChurn) {
     }
   });
 
-  std::thread producer([&] {
-    for (TickBatch& b : *batches) {
-      Status s = runtime.ingest().Push(std::move(b), 120000ms);
-      EXPECT_OK(s);
-    }
-  });
-  producer.join();
+  PushOverlapping(&runtime, &*batches, [&] { return churned.load() > 0; });
   ASSERT_TRUE(runtime.WaitForTick(kMixedHorizon, 120000ms));
   done.store(true);
   churn.join();
@@ -381,13 +390,7 @@ TEST(RuntimeStressTest, SharingGroupChurnStaysBitIdentical) {
     }
   });
 
-  std::thread producer([&] {
-    for (TickBatch& b : *batches) {
-      Status s = runtime.ingest().Push(std::move(b), 120000ms);
-      EXPECT_OK(s);
-    }
-  });
-  producer.join();
+  PushOverlapping(&runtime, &*batches, [&] { return churned.load() > 0; });
   ASSERT_TRUE(runtime.WaitForTick(kShareHorizon, 120000ms));
   done.store(true);
   churn.join();
@@ -486,13 +489,9 @@ TEST(RuntimeStressTest, CheckpointAndChurnRaceWindowedExecution) {
     }
   });
 
-  std::thread producer([&] {
-    for (TickBatch& b : *batches) {
-      Status s = runtime.ingest().Push(std::move(b), 120000ms);
-      EXPECT_OK(s);
-    }
+  PushOverlapping(&runtime, &*batches, [&] {
+    return churned.load() > 0 && snapshots.load() > 0;
   });
-  producer.join();
   ASSERT_TRUE(runtime.WaitForTick(kChurnHorizon, 120000ms));
   done.store(true);
   churn.join();

@@ -5,6 +5,7 @@
 // many-tick equivalence run lives in runtime_stress_test.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -20,6 +21,7 @@
 #include "runtime/registry.h"
 #include "runtime/replay.h"
 #include "runtime/stats.h"
+#include "sim/scenarios.h"
 #include "test_util.h"
 
 namespace lahar {
@@ -251,6 +253,72 @@ TEST(ApplyBatchTest, RejectsDuplicateStreamWithinOneBatch) {
   batch.updates.push_back({id, {0.4, 0.6}, std::nullopt});
   EXPECT_FALSE(ApplyBatch(&db, batch, nullptr).ok());
   EXPECT_EQ(db.stream(id).horizon(), 1u);
+}
+
+// Every stored field of every stream matches between `a` and `b`.
+void ExpectSameStreams(const EventDatabase& a, const EventDatabase& b) {
+  ASSERT_EQ(a.num_streams(), b.num_streams());
+  EXPECT_EQ(a.horizon(), b.horizon());
+  for (StreamId id = 0; id < a.num_streams(); ++id) {
+    const Stream& x = a.stream(id);
+    const Stream& y = b.stream(id);
+    ASSERT_EQ(x.horizon(), y.horizon());
+    for (Timestamp t = 1; t <= x.horizon(); ++t) {
+      EXPECT_EQ(x.MarginalAt(t), y.MarginalAt(t)) << id << "@" << t;
+      if (!x.markovian() || t == x.horizon()) continue;
+      const Matrix& cx = x.CptAt(t);
+      const Matrix& cy = y.CptAt(t);
+      ASSERT_EQ(cx.rows(), cy.rows());
+      ASSERT_EQ(cx.cols(), cy.cols());
+      EXPECT_TRUE(std::equal(cx.data(), cx.data() + cx.rows() * cx.cols(),
+                             cy.data()));
+      EXPECT_EQ(x.CptDigestAt(t), y.CptDigestAt(t));
+      EXPECT_EQ(x.SparseCptAt(t).row_begin, y.SparseCptAt(t).row_begin);
+      EXPECT_EQ(x.SparseCptAt(t).cols, y.SparseCptAt(t).cols);
+      EXPECT_EQ(x.SparseCptAt(t).probs, y.SparseCptAt(t).probs);
+    }
+  }
+}
+
+// A stream builds each CPT slice's digest and sparse rows on first read.
+// Engines read them from several pool threads at once (shared units step
+// concurrently), so readers racing on unbuilt slices must all get the one
+// value a lone reader would. Runs under the thread sanitizer presets.
+TEST(ApplyBatchTest, CptViewsBuildOnceUnderConcurrentReaders) {
+  EventDatabase archive;
+  std::vector<std::string> values;
+  for (int v = 0; v < 40; ++v) values.push_back("v" + std::to_string(v));
+  for (int i = 0; i < 4; ++i) {
+    AddMarkovStream(&archive, "At", "tag" + std::to_string(i), values, 6,
+                    0.5);
+  }
+  auto batches = ExtractBatches(archive);
+  ASSERT_OK(batches.status());
+  auto raced = CloneDeclarations(archive);
+  auto lone = CloneDeclarations(archive);
+  ASSERT_OK(raced.status());
+  ASSERT_OK(lone.status());
+  for (const TickBatch& batch : *batches) {
+    ASSERT_OK(ApplyBatch(raced->get(), batch, nullptr));
+    ASSERT_OK(ApplyBatch(lone->get(), batch, nullptr));
+  }
+  const EventDatabase& db = **raced;
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&db, r] {
+      // Each reader walks the slices in its own order.
+      for (Timestamp k = 1; k < db.horizon(); ++k) {
+        const Timestamp t = r % 2 == 0 ? k : db.horizon() - k;
+        for (StreamId id = 0; id < db.num_streams(); ++id) {
+          (void)db.stream(id).SparseCptAt(t);
+          (void)db.stream(id).CptDigestAt(t);
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  ExpectSameStreams(**raced, **lone);
+  ExpectSameStreams(archive, **raced);
 }
 
 TEST(ReorderBufferTest, HoldsEarlyTicksUntilDue) {
@@ -685,6 +753,101 @@ TEST(StreamRuntimeTest, SimdUnitsAreReportedInStats) {
   EXPECT_EQ(stats.queries[0].simd_units, 1u);
   EXPECT_EQ(stats.simd_units, 1u);
   EXPECT_NE(stats.ToJson().find("\"simd_units\":1"), std::string::npos);
+}
+
+// Queries registered at tick 0 on an empty clone have no CptAt(1) to
+// measure, so kAuto picks their step path provisionally and settles it at
+// tick 2. `archive`'s CPT density decides which way: every unit (private or
+// shared) ends on the CSR walk when sparse and stays vectorized when dense.
+// Every published value matches sessions opened over the full archive.
+void ExpectStepPathSettlesAtTickTwo(EventDatabase* archive,
+                                    const std::vector<std::string>& queries,
+                                    bool expect_simd) {
+  std::vector<std::vector<double>> expected(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto session = StreamingSession::Create(archive, queries[i]);
+    ASSERT_OK(session.status());
+    for (Timestamp t = 1; t <= archive->horizon(); ++t) {
+      auto p = session->Advance();
+      ASSERT_OK(p.status());
+      expected[i].push_back(*p);
+    }
+  }
+  auto clone = CloneDeclarations(*archive);
+  ASSERT_OK(clone.status());
+  auto batches = ExtractBatches(*archive);
+  ASSERT_OK(batches.status());
+  RuntimeOptions options;
+  options.num_threads = 2;
+  StreamRuntime runtime(clone->get(), options);
+  std::vector<QueryId> ids;
+  for (const std::string& text : queries) {
+    auto id = runtime.Register(text);
+    ASSERT_OK(id.status());
+    ids.push_back(*id);
+  }
+  auto simd_units = [&] {
+    RuntimeStats stats = runtime.Stats();
+    size_t n = 0;
+    for (const QueryStats& q : stats.queries) n += q.simd_units;
+    return n;
+  };
+  EXPECT_GT(simd_units(), 0u);  // provisional: no CPT to measure yet
+  EXPECT_GT(runtime.Stats().sharing_groups, 0u);
+
+  std::vector<TickResult> results;
+  runtime.SetTickCallback([&](const TickResult& r) { results.push_back(r); });
+  runtime.Start();
+  for (size_t b = 0; b < batches->size(); ++b) {
+    EXPECT_OK(runtime.ingest().Push(std::move((*batches)[b]), 10000ms));
+    if (b == 1) {
+      ASSERT_TRUE(runtime.WaitForTick(2, 10000ms));
+      if (expect_simd) {
+        EXPECT_GT(simd_units(), 0u);
+      } else {
+        EXPECT_EQ(simd_units(), 0u);
+      }
+    }
+  }
+  ASSERT_TRUE(runtime.WaitForTick(archive->horizon(), 10000ms));
+  runtime.Stop();
+  ASSERT_EQ(results.size(), archive->horizon());
+  for (size_t t = 0; t < results.size(); ++t) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const double* p = results[t].Find(ids[i]);
+      ASSERT_NE(p, nullptr);
+      EXPECT_EQ(*p, expected[i][t]) << queries[i] << " at t=" << t + 1;
+    }
+  }
+}
+
+TEST(StreamRuntimeTest, SparseArchivedCptsSettleOnTheCsrWalk) {
+  // Smoothed random-walk CPTs are ~7% nonzero, far under simd_min_density.
+  PipelineConfig config;
+  config.num_particles = 32;
+  auto scenario = RandomWalkScenario(3, 12, /*seed=*/2008, config);
+  ASSERT_OK(scenario.status());
+  auto archive = scenario->BuildDatabase(StreamKind::kSmoothed);
+  ASSERT_OK(archive.status());
+  ExpectStepPathSettlesAtTickTwo(
+      archive->get(),
+      {"At('tag1', l : Room(l))", "At('tag2', l : Hallway(l))",
+       "At(x, l1 : NotRoom(l1)); At(x, l2 : Room(l2))",
+       "At(y, m1 : NotRoom(m1)); At(y, m2 : Room(m2))"},
+      /*expect_simd=*/false);
+}
+
+TEST(StreamRuntimeTest, DenseArchivedCptsStayVectorized) {
+  // Self-biased CPTs over three values: 10/16 nonzero.
+  EventDatabase archive;
+  for (const char* tag : {"tag1", "tag2", "tag3"}) {
+    AddMarkovStream(&archive, "At", tag, {"a", "b", "c"}, 12, 0.7);
+  }
+  ExpectStepPathSettlesAtTickTwo(
+      &archive,
+      {"At('tag1', l : l = 'a')", "At(x, l1 : l1 = 'a'); At(x, l2 : l2 = 'b')",
+       "At(y, m1 : m1 = 'a'); At(y, m2 : m2 = 'b')"},
+      /*expect_simd=*/true);
 }
 
 // A RuntimeStats with every counter nonzero, one shard, a net section with

@@ -381,6 +381,68 @@ TEST(SharingRuntimeTest, SharedAndUnsharedAreBitIdentical) {
 // Satellite: the sharing counters reach the serving surfaces — ToJson (the
 // body of the net kStats reply) and ToString (the CLI's stats dump) carry
 // the new fields.
+// With a worker pool, a window's shared units run as claimed items on the
+// pool once they carry enough work (16 shared units over ~36 locations,
+// stepped through 16-tick windows), and each stream's CPT views are built
+// by whichever unit reads them first. Every published value and sharing
+// counter must match the one-thread runtime, which steps the units on the
+// coordinator.
+TEST(SharingRuntimeTest, PoolSteppedUnitsMatchOneThread) {
+  PipelineConfig config;
+  config.num_particles = 32;
+  constexpr size_t kTags = 16;
+  auto scenario = RandomWalkScenario(kTags, 16, /*seed=*/2011, config);
+  ASSERT_OK(scenario.status());
+  auto archive = scenario->BuildDatabase(StreamKind::kSmoothed);
+  ASSERT_OK(archive.status());
+  const std::vector<std::string> queries = {
+      "At(x, l1 : NotRoom(l1)); At(x, l2 : Room(l2))",
+      "At(y, m1 : NotRoom(m1)); At(y, m2 : Room(m2))",
+      "At('tag1', l : Room(l))", "At('tag2', m : Room(m))"};
+  struct Run {
+    std::vector<TickResult> results;
+    RuntimeStats stats;
+  };
+  auto run = [&](size_t threads) {
+    Run out;
+    auto clone = CloneDeclarations(**archive);
+    auto batches = ExtractBatches(**archive);
+    EXPECT_OK(clone.status());
+    EXPECT_OK(batches.status());
+    if (!clone.ok() || !batches.ok()) return out;
+    RuntimeOptions options;
+    options.num_threads = threads;
+    StreamRuntime runtime(clone->get(), options);
+    for (const std::string& text : queries) {
+      EXPECT_OK(runtime.Register(text).status());
+    }
+    runtime.SetTickCallback(
+        [&](const TickResult& r) { out.results.push_back(r); });
+    // Queued before Start, so the coordinator drains them all at once and
+    // runs wide windows.
+    for (TickBatch& b : *batches) {
+      EXPECT_OK(runtime.ingest().Push(std::move(b), 10000ms));
+    }
+    runtime.Start();
+    EXPECT_TRUE(runtime.WaitForTick((*archive)->horizon(), 10000ms));
+    runtime.Stop();
+    out.stats = runtime.Stats();
+    return out;
+  };
+  Run one = run(1);
+  Run pool = run(3);
+  ASSERT_EQ(one.results.size(), (*archive)->horizon());
+  ASSERT_EQ(pool.results.size(), one.results.size());
+  for (size_t t = 0; t < one.results.size(); ++t) {
+    EXPECT_EQ(pool.results[t].t, one.results[t].t);
+    EXPECT_EQ(pool.results[t].probs, one.results[t].probs) << "t=" << t + 1;
+  }
+  EXPECT_GE(one.stats.sharing_groups, kTags);
+  EXPECT_EQ(pool.stats.sharing_groups, one.stats.sharing_groups);
+  EXPECT_EQ(pool.stats.shared_steps_executed, one.stats.shared_steps_executed);
+  EXPECT_EQ(pool.stats.shared_steps_saved, one.stats.shared_steps_saved);
+}
+
 TEST(SharingStatsTest, JsonAndTextCarrySharingFields) {
   constexpr Timestamp kHorizon = 8;
   auto archive = SmallDb(kHorizon);
